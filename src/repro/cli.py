@@ -6,8 +6,7 @@ Subcommands:
 * ``compile SPEC``    -- compile a Boolean function form (truth table with
                          don't-cares, multi-output, affine/XOR, LUT).
 * ``engines``         -- list the synthesis engines and what they promise.
-* ``build-db``        -- pre-compute and cache the BFS database.
-* ``db``              -- manage on-disk stores: build/convert/info/verify/list.
+* ``db``              -- manage ``.rdb`` stores: build/info/verify/list.
 * ``serve``           -- run the long-lived synthesis daemon (TCP/stdio).
 * ``query``           -- query a running daemon.
 * ``health``          -- a running daemon's resilience status.
@@ -17,7 +16,6 @@ Subcommands:
 * ``bench``           -- run a pinned perf suite / diff BENCH_*.json records.
 * ``trace``           -- one-shot synthesis with span tracing enabled.
 * ``check``           -- run the domain-aware static-analysis rules.
-* ``info``            -- library and database information.
 
 Every synthesis path goes through :mod:`repro.engines`: the CLI names an
 engine, the registry builds the adapter, and the adapter owns the
@@ -59,7 +57,7 @@ def _add_synth_options(parser: argparse.ArgumentParser) -> None:
 
 def _make_synthesizer(args):
     """The optimal engine's underlying synthesizer, for subcommands that
-    use its database/search surface directly (build-db, random, ...)."""
+    use its database/search surface directly (db build, random, ...)."""
     from repro.engines import create_engine
 
     return create_engine(
@@ -244,18 +242,6 @@ def cmd_engines(args) -> int:
         if args.verbose:
             print(f"{'':<10} {engine_summary(name)}")
     print(f"daemon-servable: {', '.join(servable_engine_names())}")
-    return 0
-
-
-def cmd_build_db(args) -> int:
-    synth = _make_synthesizer(args)
-    synth.prepare(force_rebuild=args.force)
-    db = synth.database
-    print(f"classes per size : {db.reduced_counts()}")
-    print(f"functions per size: {db.function_counts()}")
-    stats = db.table.stats()
-    for row in stats.format_rows():
-        print(row)
     return 0
 
 
@@ -760,33 +746,6 @@ def cmd_arch(args) -> int:
     return 0
 
 
-def cmd_info(args) -> int:
-    import numpy
-
-    from repro.synth.synthesizer import default_cache_dir
-
-    print(f"repro {__version__} (numpy {numpy.__version__})")
-    print(f"cache directory: {default_cache_dir()}")
-    cache = default_cache_dir()
-    if cache.exists():
-        for path in _cache_store_paths(cache):
-            from repro.store import store_format
-
-            print(
-                f"  {path.name}  [{store_format(path)}]  "
-                f"{path.stat().st_size / (1 << 20):.1f} MB"
-            )
-    return 0
-
-
-def _cache_store_paths(cache):
-    """All database store files (both formats) in a cache directory."""
-    return sorted(
-        list(cache.glob("*.npz")) + list(cache.glob("*.rdb")),
-        key=lambda p: (p.stem, p.suffix),
-    )
-
-
 def cmd_cache(args) -> int:
     """List every cached database store with format, size, and stats."""
     from pathlib import Path
@@ -799,7 +758,7 @@ def cmd_cache(args) -> int:
     if not cache.exists():
         print(f"cache directory {cache} does not exist")
         return 0
-    paths = _cache_store_paths(cache)
+    paths = sorted(cache.glob("*.rdb"))
     if not paths:
         print(f"cache directory {cache} holds no database stores")
         return 0
@@ -843,14 +802,6 @@ def cmd_db_build(args) -> int:
     print(f"store written: {target}")
     for row in info.format_rows()[1:]:
         print(f"  {row}")
-    return 0
-
-
-def cmd_db_convert(args) -> int:
-    from repro.store import convert
-
-    convert(args.src, args.dst)
-    print(f"converted {args.src} -> {args.dst}")
     return 0
 
 
@@ -941,11 +892,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also print each engine's summary line",
     )
     p_engines.set_defaults(func=cmd_engines)
-
-    p_build = sub.add_parser("build-db", help="pre-compute the database")
-    p_build.add_argument("--force", action="store_true")
-    _add_synth_options(p_build)
-    p_build.set_defaults(func=cmd_build_db)
 
     p_serve = sub.add_parser(
         "serve", help="run the long-lived synthesis daemon"
@@ -1255,7 +1201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_arch.set_defaults(func=cmd_arch)
 
     p_db = sub.add_parser(
-        "db", help="manage on-disk database stores (.rdb / legacy .npz)"
+        "db", help="manage on-disk .rdb database stores"
     )
     db_sub = p_db.add_subparsers(dest="db_command", required=True)
 
@@ -1265,22 +1211,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_db_build.add_argument("--force", action="store_true")
     p_db_build.add_argument(
         "-o", "--output", default=None,
-        help="write the .rdb here instead of the cache sidecar",
+        help="write the .rdb here instead of the cache directory",
     )
     _add_synth_options(p_db_build)
     p_db_build.set_defaults(func=cmd_db_build)
 
-    p_db_convert = db_sub.add_parser(
-        "convert", help="convert between .npz and .rdb store formats"
-    )
-    p_db_convert.add_argument("src", help="source store (.npz or .rdb)")
-    p_db_convert.add_argument("dst", help="destination store (.npz or .rdb)")
-    p_db_convert.set_defaults(func=cmd_db_convert)
-
     p_db_info = db_sub.add_parser(
         "info", help="print a store's parameters and Table 2 statistics"
     )
-    p_db_info.add_argument("path", help="store file (.npz or .rdb)")
+    p_db_info.add_argument("path", help=".rdb store file")
     p_db_info.set_defaults(func=cmd_db_info)
 
     p_db_verify = db_sub.add_parser(
@@ -1288,7 +1227,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="full integrity pass: header, checksum, probe consistency "
         "(exit 1 on failure)",
     )
-    p_db_verify.add_argument("path", help="store file (.npz or .rdb)")
+    p_db_verify.add_argument("path", help=".rdb store file")
     p_db_verify.set_defaults(func=cmd_db_verify)
 
     p_db_list = db_sub.add_parser(
@@ -1299,9 +1238,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="cache directory to list (default: the library cache)",
     )
     p_db_list.set_defaults(func=cmd_cache)
-
-    p_info = sub.add_parser("info", help="library and cache information")
-    p_info.set_defaults(func=cmd_info)
     return parser
 
 

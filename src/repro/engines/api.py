@@ -87,7 +87,7 @@ class SynthesisResult:
             (None for non-NCT circuits).
         seconds: Wall time of the synthesis call (excluded from
             :meth:`to_wire` so wire results stay deterministic).
-        extra: Engine-specific facts (search statistics, portfolio tier,
+        extra: Engine-specific facts (search statistics, race winner,
             SAT conflicts, ...).  Values must be JSON-representable.
         circuit_obj: The in-memory :class:`Circuit`, when the engine
             produced one (None for Clifford label sequences).

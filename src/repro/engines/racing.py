@@ -10,27 +10,28 @@ answer, with wildly different and *unpredictable* costs:
   occasionally fast (shallow circuits, lucky conflict order);
 * the MMD heuristic -- milliseconds, never a proof on its own.
 
-Instead of guessing which route to take (the portfolio engine's fixed
-tier order), the ``race`` engine launches all three as cancellable
-:class:`repro.service.tasks.WorkItem` lanes and returns the first
-*provably optimal* finisher:
+Instead of guessing which route to take, the ``race`` engine launches
+all three as cancellable :class:`repro.service.tasks.WorkItem` lanes
+and returns the first *provably optimal* finisher:
 
 * the optimal lane finishing exactly wins outright;
 * the SAT lane finishing wins outright;
 * the optimal lane proving a lower bound that *meets* the heuristic's
   circuit promotes that circuit to provably optimal (the paper's
-  Section 4.4 argument, as in the portfolio engine).
+  Section 4.4 argument).
 
 The remaining lanes are cancelled through their tokens the moment a
 winner is decided -- the scan stops at its next ``A_i`` boundary, the
 SAT solver at its next conflict.  When the request's deadline expires
 before any proof, every lane is cancelled and the best known bound is
-returned with ``guarantee: "upper_bound"`` (the portfolio/degraded wire
+returned with ``guarantee: "upper_bound"`` (the degraded wire
 semantics), never an error.
 
 Results carry ``extra["winner"]`` and ``extra["cancelled_lanes"]`` so
 callers -- and the daemon's wire protocol -- can see which lane paid
-for the answer and which were preempted.
+for the answer and which were preempted.  When the scan proved a lower
+bound, ``extra["lower_bound"]`` and the heuristic's
+``extra["upper_bound"]`` record the gap the winning proof closed.
 
 This module lives in the engines layer: :mod:`repro.service.tasks` is
 imported lazily inside methods (the sanctioned exempt pattern for the
@@ -291,9 +292,11 @@ class RaceEngine(Engine):
         if winner is not None:
             inner = lanes[winner].result
             extra: dict[str, Any] = {}
-            if winner == "heuristic" and lower_bound is not None:
+            if lower_bound is not None:
+                # The scan proved a bound: report the gap the winner closed.
                 extra["lower_bound"] = lower_bound
-                extra["upper_bound"] = inner.size
+                if heu.result is not None:
+                    extra["upper_bound"] = heu.result.size
             return self._finish(
                 inner, spec, started, winner, cancelled_lanes,
                 guarantee=GUARANTEE_OPTIMAL, **extra,
@@ -331,8 +334,8 @@ class RaceEngine(Engine):
         guarantee: str,
         **extra: Any,
     ) -> SynthesisResult:
-        """Re-badge a lane's result as the race's answer (the portfolio
-        engine's tier semantics: ``tier`` names the lane that paid)."""
+        """Re-badge a lane's result as the race's answer (``tier``
+        names the lane that paid)."""
         merged = dict(inner.extra)
         merged["tier"] = winner if winner is not None else "heuristic"
         merged["winner"] = winner

@@ -134,10 +134,6 @@ register_engine(
     "exhaustive Clifford/stabilizer synthesis over {H, S, S-dagger, CNOT}",
 )
 register_engine(
-    "portfolio", "repro.engines.portfolio", "make_engine",
-    "MMD upper bound, then optimal search, then SAT; reports the tier",
-)
-register_engine(
     "race", "repro.engines.racing", "make_engine",
     "races optimal scan, SAT, and MMD as cancellable lanes; first proof "
     "wins, losers are preempted",

@@ -3,15 +3,14 @@
 Two tiers:
 
 * ``quick`` -- the CI gate: the paper's Section 3.3 micro-ops (scalar
-  and vectorized), hash-table probing, a small BFS build, database
-  store cold starts (``.npz`` load-and-rebuild vs ``.rdb`` zero-copy
-  mmap) with mapped probing, one query per search path (database
-  hit / list scan / exhausted scan), the same hard query under the
-  racing engine, the cancel round-trip latency of a preempted scan,
-  the shard router's pure routing decision, an in-process sharded
-  scatter/gather batch, and the function-form compile front-end (spec
-  normalization, and an end-to-end don't-care compile).  A few seconds
-  end to end at ``REPRO_BENCH_K=5``.
+  and vectorized), hash-table probing, a small BFS build, the ``.rdb``
+  store's zero-copy cold start and mapped probing, one query per
+  search path (database hit / list scan / exhausted scan), the same
+  hard query under the racing engine, the cancel round-trip latency of
+  a preempted scan, the shard router's pure routing decision, an
+  in-process sharded scatter/gather batch, and the function-form
+  compile front-end (spec normalization, and an end-to-end don't-care
+  compile).  A few seconds end to end at ``REPRO_BENCH_K=5``.
 * ``full``  -- everything in quick plus the n=4 database build at the
   configured depth, a Table-3-style random batch, a service-layer
   cached batch, and paired fast-path batch throughput ops over a real
@@ -72,7 +71,7 @@ class BenchContext:
         self._shard_router: Any = None
         self._shard_clusters: "dict[int, Any]" = {}
         self._cluster_tmp: "str | None" = None
-        self._store_paths: "tuple[Path, Path] | None" = None
+        self._store_path: "Path | None" = None
         self._store_tmp: "str | None" = None
 
     # ------------------------------------------------------------------
@@ -191,15 +190,17 @@ class BenchContext:
             self._shard_clusters[count] = cluster
         return self._shard_clusters[count]
 
-    def db_store_paths(self) -> "tuple[Path, Path]":
-        """``(npz_path, rdb_path)`` persisted stores of the suite database.
+    def db_store_path(self) -> Path:
+        """The suite database persisted as an ``.rdb`` store.
 
         Written into the bench cache directory when one is configured
-        (so reruns reuse them, keyed by k in the filename), otherwise
+        (so reruns reuse it, keyed by k in the filename), otherwise
         into a temp directory removed by :meth:`close`.
         """
-        if self._store_paths is None:
+        if self._store_path is None:
             import tempfile
+
+            from repro.store import write_rdb
 
             db = self.optimal_engine().impl.database
             if self.cache_dir:
@@ -208,16 +209,11 @@ class BenchContext:
             else:
                 self._store_tmp = tempfile.mkdtemp(prefix="repro-bench-db-")
                 base = Path(self._store_tmp)
-            npz = base / f"bench-db-n4-k{self.scale['k']}.npz"
-            rdb = npz.with_suffix(".rdb")
-            if not npz.exists():
-                db.save(npz)
+            rdb = base / f"bench-db-n4-k{self.scale['k']}.rdb"
             if not rdb.exists():
-                from repro.store import write_rdb
-
                 write_rdb(db, rdb)
-            self._store_paths = (npz, rdb)
-        return self._store_paths
+            self._store_path = rdb
+        return self._store_path
 
     def close(self) -> None:
         if self._service is not None:
@@ -239,7 +235,7 @@ class BenchContext:
 
             shutil.rmtree(self._store_tmp, ignore_errors=True)
             self._store_tmp = None
-        self._store_paths = None
+        self._store_path = None
         self._race_engine = None
         self._engine = None
 
@@ -399,25 +395,17 @@ def _setup_bfs_build_n4(ctx: BenchContext) -> Callable[[], Any]:
     return lambda: build_database(4, k)
 
 
-def _setup_db_cold_start_npz(ctx: BenchContext) -> Callable[[], Any]:
-    from repro.store import open_database
-
-    npz, _rdb = ctx.db_store_paths()
-    return lambda: open_database(npz)
-
-
 def _setup_db_cold_start_mmap(ctx: BenchContext) -> Callable[[], Any]:
     from repro.store import map_database
 
-    _npz, rdb = ctx.db_store_paths()
+    rdb = ctx.db_store_path()
     return lambda: map_database(rdb)
 
 
 def _setup_db_mapped_probe_batch(ctx: BenchContext) -> Callable[[], Any]:
     from repro.store import map_database
 
-    _npz, rdb = ctx.db_store_paths()
-    table = map_database(rdb).table
+    table = map_database(ctx.db_store_path()).table
     words = _vector_words()
     # repro: allow[unrouted-lookup] the op times raw mapped probing over uniform random keys (nearly all misses); canonicalizing would change what is measured
     return lambda: table.lookup_batch(words)
@@ -696,10 +684,6 @@ _QUICK_OPS: tuple[BenchOp, ...] = (
     BenchOp("micro.hash_vectorized", _setup_hash_vectorized),
     BenchOp("table.lookup_batch", _setup_table_lookup_batch),
     BenchOp("bfs.build_n3", _setup_bfs_build_n3, min_samples=3, once=True),
-    BenchOp(
-        "db.cold_start_npz", _setup_db_cold_start_npz,
-        min_samples=3, once=True,
-    ),
     BenchOp("db.cold_start_mmap", _setup_db_cold_start_mmap),
     BenchOp("db.mapped_probe_batch", _setup_db_mapped_probe_batch),
     BenchOp("search.db_hit", _setup_search_db_hit),

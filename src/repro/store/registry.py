@@ -1,12 +1,8 @@
-"""Store registry: resolve, open, convert, describe, verify.
+"""Store registry: describe and verify ``.rdb`` stores.
 
-One boundary for "a database lives at this path": callers hand any
-``.rdb`` or legacy ``.npz`` path to :func:`open_database` and get an
-:class:`OptimalDatabase` back -- memory-mapped for ``.rdb`` (zero copy,
-O(page-fault) cold start), fully loaded for ``.npz``.  The ``.rdb``
-sidecar convention (``db-n4-k6.npz`` -> ``db-n4-k6.rdb``) lets the
-synthesizer upgrade legacy caches in place, and :func:`resolve_store`
-prefers the sidecar whenever it exists.
+Opening a store is :func:`repro.store.map_database` (zero copy,
+O(page-fault) cold start); this module adds the reporting and the full
+integrity pass behind ``repro db info|verify|list``.
 """
 
 from __future__ import annotations
@@ -21,89 +17,11 @@ from repro.hashing.table import TableStats
 from repro.perf.trace import trace
 from repro.store.format import StoreHeader, read_header
 from repro.store.mapped import map_database
-from repro.store.writer import payload_checksum, write_rdb
+from repro.store.writer import payload_checksum
 
-#: Recognized store formats, by file extension.
+#: The one store format (reported in ``db info`` and the daemon's
+#: ``database`` block).
 FORMAT_RDB = "rdb"
-FORMAT_NPZ = "npz"
-
-
-def store_format(path: "str | Path") -> str:
-    """``"rdb"`` or ``"npz"`` from the file extension."""
-    suffix = Path(path).suffix.lower()
-    if suffix == ".rdb":
-        return FORMAT_RDB
-    if suffix == ".npz":
-        return FORMAT_NPZ
-    raise DatabaseError(
-        f"unrecognized database store extension {suffix!r} for {path} "
-        "(expected .rdb or .npz)"
-    )
-
-
-def rdb_sidecar(path: "str | Path") -> Path:
-    """The ``.rdb`` sidecar path for a legacy ``.npz`` cache path."""
-    return Path(path).with_suffix(".rdb")
-
-
-def resolve_store(path: "str | Path") -> Path:
-    """The preferred store path for ``path``: its ``.rdb`` sidecar when
-    one exists, otherwise the path itself."""
-    path = Path(path)
-    if store_format(path) == FORMAT_NPZ:
-        sidecar = rdb_sidecar(path)
-        if sidecar.exists():
-            return sidecar
-    return path
-
-
-def open_database(path: "str | Path"):
-    """Open a database store of either format.
-
-    ``.rdb`` maps zero-copy; ``.npz`` loads and rebuilds in RAM (the
-    legacy path).  Both raise :class:`DatabaseError` naming the path on
-    corruption.
-    """
-    from repro.synth.database import OptimalDatabase
-
-    path = Path(path)
-    if store_format(path) == FORMAT_RDB:
-        return map_database(path)
-    return OptimalDatabase.load(path)
-
-
-def convert(src: "str | Path", dst: "str | Path"):
-    """Convert between store formats; returns the opened source database.
-
-    ``.npz -> .rdb`` is the upgrade path; ``.rdb -> .npz`` exports a
-    legacy archive (for tooling that predates the flat format).
-    Same-format conversion is a rewrite (useful to re-pack after a
-    version bump).
-    """
-    src, dst = Path(src), Path(dst)
-    db = open_database(src)
-    if store_format(dst) == FORMAT_RDB:
-        write_rdb(db, dst)
-    else:
-        _save_npz(db, dst)
-    return db
-
-
-def _save_npz(db, path: Path) -> None:
-    """Export to the legacy ``.npz`` format (materializes mapped views)."""
-    from repro.synth.database import OptimalDatabase
-
-    if isinstance(db, OptimalDatabase) and not any(
-        isinstance(r, np.memmap) for r in db.reps_by_size
-    ):
-        db.save(path)
-        return
-    materialized = OptimalDatabase.from_reps(
-        db.n_wires,
-        db.k,
-        [np.asarray(r, dtype=np.uint64).copy() for r in db.reps_by_size],
-    )
-    materialized.save(path)
 
 
 @dataclass(frozen=True)
@@ -134,10 +52,10 @@ class StoreInfo:
 def describe(path: "str | Path") -> StoreInfo:
     """Open a store and report its parameters and Table 2 statistics."""
     path = Path(path)
-    db = open_database(path)
+    db = map_database(path)
     return StoreInfo(
         path=path,
-        format=store_format(path),
+        format=FORMAT_RDB,
         size_bytes=path.stat().st_size,
         n_wires=db.n_wires,
         k=db.k,
@@ -149,19 +67,16 @@ def describe(path: "str | Path") -> StoreInfo:
 def verify_store(path: "str | Path") -> StoreInfo:
     """Full integrity pass over a store file; returns its description.
 
-    For ``.rdb``: header validation, payload SHA-256 against the stored
-    checksum, and a semantic cross-check that every persisted
-    representative probes back to its own size through the mapped
-    table.  For ``.npz``: a full load (the legacy loader already
-    validates structure) plus the same semantic cross-check.  Any
-    failure raises :class:`DatabaseError` naming the path.
+    Header validation, payload SHA-256 against the stored checksum, and
+    a semantic cross-check that every persisted representative probes
+    back to its own size through the mapped table.  Any failure raises
+    :class:`DatabaseError` naming the path.
     """
     path = Path(path)
     with trace("db.verify", path=str(path)):
-        if store_format(path) == FORMAT_RDB:
-            header = read_header(path)
-            _verify_checksum(path, header)
-        db = open_database(path)
+        header = read_header(path)
+        _verify_checksum(path, header)
+        db = map_database(path)
         _verify_semantics(path, db)
         return describe(path)
 
@@ -199,15 +114,4 @@ def _verify_semantics(path: Path, db) -> None:
         )
 
 
-__all__ = [
-    "FORMAT_NPZ",
-    "FORMAT_RDB",
-    "StoreInfo",
-    "convert",
-    "describe",
-    "open_database",
-    "rdb_sidecar",
-    "resolve_store",
-    "store_format",
-    "verify_store",
-]
+__all__ = ["FORMAT_RDB", "StoreInfo", "describe", "verify_store"]

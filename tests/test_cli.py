@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
@@ -89,10 +90,10 @@ class TestSynth:
 
 class TestOtherCommands:
     def test_build_db(self, capsys):
-        code = main(["build-db", "-k", "2", "--lists", "1"])
+        code = main(["db", "build", "-k", "2", "--lists", "1"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "[1, 4, 33]" in out
+        assert "entries    38" in out  # 1 + 4 + 33 classes of size <= 2
         assert "Load Factor" in out
 
     def test_linear_table(self, capsys):
@@ -108,7 +109,7 @@ class TestOtherCommands:
         assert "average size" in out
 
     def test_info(self, capsys):
-        code = main(["info"])
+        code = main(["db", "list"])
         out = capsys.readouterr().out
         assert code == 0
         assert "cache directory" in out
@@ -186,14 +187,14 @@ class TestDbCommands:
         assert main(["db", "verify", str(rdb)]) == 1
         assert "FAIL" in capsys.readouterr().err
 
-    def test_db_convert_and_info(self, capsys, tmp_path):
+    def test_db_info(self, capsys, tmp_path):
         rdb = self._build(tmp_path)
-        npz = tmp_path / "db.npz"
-        assert main(["db", "convert", str(rdb), str(npz)]) == 0
-        assert npz.exists()
-        assert main(["db", "info", str(npz)]) == 0
+        capsys.readouterr()
+        assert main(["db", "info", str(rdb)]) == 0
         out = capsys.readouterr().out
-        assert "format     npz" in out
+        assert f"path       {rdb}" in out
+        assert "format     rdb" in out
+        assert "n_wires    3" in out and "k          3" in out
 
     def test_db_list_both_formats(self, capsys, tmp_path):
         # A dedicated directory: the autouse cache fixture points
@@ -201,28 +202,58 @@ class TestDbCommands:
         # cache stores there too.
         stores = tmp_path / "stores"
         stores.mkdir()
-        rdb = self._build(stores)
-        main(["db", "convert", str(rdb), str(stores / "db.npz")])
+        self._build(stores)
+        np.savez_compressed(stores / "db.npz", meta=np.array([3, 3]))
         capsys.readouterr()
         assert main(["db", "list", "--dir", str(stores)]) == 0
         out = capsys.readouterr().out
-        assert "db.rdb" in out and "db.npz" in out
-        assert out.count("Load Factor") == 2
+        # Only .rdb is a store; a legacy .npz beside it is not listed.
+        assert "db.rdb" in out and "db.npz" not in out
+        assert out.count("Load Factor") == 1
 
     def test_db_list_reports_unreadable_store(self, capsys, tmp_path):
         (tmp_path / "broken.rdb").write_bytes(b"not a store")
         assert main(["db", "list", "--dir", str(tmp_path)]) == 1
         assert "UNREADABLE" in capsys.readouterr().out
 
-    def test_info_lists_rdb_sidecars(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        assert main(["build-db", "--wires", "3", "-k", "3",
+    def test_db_list_shows_cache_store(self, capsys, tmp_path):
+        assert main(["db", "build", "--wires", "3", "-k", "3",
                      "--lists", "1"]) == 0
         capsys.readouterr()
-        assert main(["info"]) == 0
+        assert main(["db", "list"]) == 0
         out = capsys.readouterr().out
-        assert "db-n3-k3.npz  [npz]" in out
-        assert "db-n3-k3.rdb  [rdb]" in out
+        assert f"cache directory: {tmp_path}" in out
+        assert "db-n3-k3.rdb" in out
+        assert "format     rdb" in out
+
+    def test_db_verify_npz_is_a_clean_error(self, capsys, tmp_path):
+        npz = tmp_path / "some.npz"
+        np.savez_compressed(npz, meta=np.array([3, 3]))
+        assert main(["db", "verify", str(npz)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("FAIL: ") and str(npz) in err
+        assert "Traceback" not in err
+
+    def test_db_build_repairs_version_skewed_store(self, capsys, tmp_path):
+        # The version-skew error names `repro db build`; running it on
+        # the skewed cache store must leave a store `db verify` accepts.
+        import struct
+
+        from repro.errors import DatabaseError
+        from repro.store import RDB_VERSION, map_database
+
+        args = ["--wires", "3", "-k", "3", "--lists", "1"]
+        assert main(["db", "build", *args]) == 0
+        rdb = tmp_path / "db-n3-k3.rdb"
+        raw = bytearray(rdb.read_bytes())
+        struct.pack_into("<I", raw, 8, RDB_VERSION + 1)
+        rdb.write_bytes(bytes(raw))
+        with pytest.raises(DatabaseError, match="'repro db build'"):
+            map_database(rdb)
+        assert main(["db", "build", *args]) == 0
+        capsys.readouterr()
+        assert main(["db", "verify", str(rdb)]) == 0
+        assert f"OK: {rdb} (rdb" in capsys.readouterr().out
 
 
 class TestEngines:
@@ -232,7 +263,7 @@ class TestEngines:
         code = main(["engines"])
         out = capsys.readouterr().out
         assert code == 0
-        for name in ("optimal", "heuristic", "depth", "linear", "portfolio"):
+        for name in ("optimal", "heuristic", "depth", "linear", "race"):
             assert name in out
         assert "daemon-servable: depth, heuristic, linear, optimal" in out
 

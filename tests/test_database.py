@@ -1,10 +1,13 @@
 """Tests for OptimalDatabase: lookups, persistence, peeling."""
 
+import struct
+
 import numpy as np
 import pytest
 
 from repro.core import equivalence, packed
 from repro.errors import DatabaseError
+from repro.store import HEADER_SIZE, write_rdb
 from repro.synth.database import OptimalDatabase
 
 
@@ -89,10 +92,22 @@ class TestLookups:
 
 
 class TestPersistence:
+    """Persistence is the ``.rdb`` store: :func:`write_rdb` saves,
+    :meth:`OptimalDatabase.map` loads, and the "meta" record is the
+    store header.  Every failure is a DatabaseError naming the path."""
+
+    @staticmethod
+    def _patched(db, path, offset, value):
+        """``db`` written to ``path`` with one header uint32 replaced."""
+        write_rdb(db, path)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<I", raw, offset, value)
+        path.write_bytes(bytes(raw))
+        return path
+
     def test_save_load_roundtrip(self, db4_k4, tmp_path):
-        path = tmp_path / "db.npz"
-        db4_k4.save(path)
-        loaded = OptimalDatabase.load(path)
+        path = write_rdb(db4_k4, tmp_path / "db.rdb")
+        loaded = OptimalDatabase.map(path)
         assert loaded.n_wires == 4 and loaded.k == 4
         assert loaded.reduced_counts() == db4_k4.reduced_counts()
         for a, b in zip(loaded.reps_by_size, db4_k4.reps_by_size):
@@ -100,61 +115,55 @@ class TestPersistence:
         assert loaded.size_of(packed.identity(4)) == 0
 
     def test_load_missing_file(self, tmp_path):
-        with pytest.raises(DatabaseError):
-            OptimalDatabase.load(tmp_path / "nope.npz")
+        with pytest.raises(DatabaseError, match="nope.rdb"):
+            OptimalDatabase.map(tmp_path / "nope.rdb")
 
     def test_save_creates_directories(self, db4_k4, tmp_path):
-        path = tmp_path / "deep" / "nested" / "db.npz"
-        db4_k4.save(path)
+        path = tmp_path / "deep" / "nested" / "db.rdb"
+        write_rdb(db4_k4, path)
         assert path.exists()
 
     def test_load_not_an_archive(self, tmp_path):
-        path = tmp_path / "garbage.npz"
-        path.write_bytes(b"this is not a zip archive")
-        with pytest.raises(DatabaseError, match="garbage.npz"):
-            OptimalDatabase.load(path)
+        path = tmp_path / "garbage.rdb"
+        path.write_bytes(b"this is not a database store" * 200)
+        with pytest.raises(DatabaseError, match="garbage.rdb"):
+            OptimalDatabase.map(path)
 
     def test_load_truncated_zip(self, db4_k4, tmp_path):
-        """A file cut off mid-archive (still starting with the zip magic)
-        raises DatabaseError, not a raw zipfile.BadZipFile."""
+        """A legacy .npz archive, cut off mid-file, raises DatabaseError
+        naming the path, not a raw zipfile.BadZipFile."""
         path = tmp_path / "cut.npz"
-        db4_k4.save(path)
+        np.savez_compressed(path, reps_0=db4_k4.reps_by_size[0])
         path.write_bytes(path.read_bytes()[:200])
         with pytest.raises(DatabaseError, match="cut.npz"):
-            OptimalDatabase.load(path)
+            OptimalDatabase.map(path)
 
-    def test_load_missing_meta(self, tmp_path):
-        path = tmp_path / "no_meta.npz"
-        np.savez(path, reps_0=np.array([0], dtype=np.uint64))
-        with pytest.raises(DatabaseError, match="missing 'meta'"):
-            OptimalDatabase.load(path)
+    def test_load_missing_meta(self, db4_k4, tmp_path):
+        path = write_rdb(db4_k4, tmp_path / "no_meta.rdb")
+        raw = path.read_bytes()
+        path.write_bytes(bytes(HEADER_SIZE) + raw[HEADER_SIZE:])
+        with pytest.raises(DatabaseError, match="no_meta.rdb.*bad magic"):
+            OptimalDatabase.map(path)
 
-    def test_load_malformed_meta(self, tmp_path):
-        path = tmp_path / "bad_meta.npz"
-        np.savez(path, meta=np.array([4], dtype=np.int64))
-        with pytest.raises(DatabaseError, match="meta"):
-            OptimalDatabase.load(path)
+    def test_load_malformed_meta(self, db4_k4, tmp_path):
+        path = self._patched(db4_k4, tmp_path / "bad_meta.rdb", 12, 64)
+        with pytest.raises(DatabaseError, match="header_size"):
+            OptimalDatabase.map(path)
 
-    def test_load_invalid_meta_values(self, tmp_path):
-        path = tmp_path / "bad_values.npz"
-        np.savez(path, meta=np.array([9, -1], dtype=np.int64))
-        with pytest.raises(DatabaseError, match="invalid meta"):
-            OptimalDatabase.load(path)
+    def test_load_invalid_meta_values(self, db4_k4, tmp_path):
+        path = self._patched(db4_k4, tmp_path / "bad_values.rdb", 16, 9)
+        with pytest.raises(DatabaseError, match="invalid n_wires=9"):
+            OptimalDatabase.map(path)
 
     def test_load_truncated_reps(self, db4_k4, tmp_path):
-        """A save missing one reps_{size} array names the gap and the path."""
-        path = tmp_path / "truncated.npz"
-        arrays = {
-            f"reps_{size}": reps
-            for size, reps in enumerate(db4_k4.reps_by_size)
-            if size != 2
-        }
-        arrays["meta"] = np.array([4, 4], dtype=np.int64)
-        np.savez(path, **arrays)
+        """A store cut off inside the representative arrays names the
+        path and the length its header requires."""
+        path = write_rdb(db4_k4, tmp_path / "truncated.rdb")
+        path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(DatabaseError) as excinfo:
-            OptimalDatabase.load(path)
-        assert "reps_2" in str(excinfo.value)
-        assert "truncated.npz" in str(excinfo.value)
+            OptimalDatabase.map(path)
+        assert "requires" in str(excinfo.value)
+        assert "truncated.rdb" in str(excinfo.value)
 
     def test_from_reps_empty_rejected(self):
         with pytest.raises(DatabaseError, match="empty"):

@@ -1,6 +1,6 @@
 """Tests for the unified engine layer (repro.engines).
 
-Covers the registry, every adapter, the portfolio's tier logic, and
+Covers the registry, every adapter, the race engine's tier logic, and
 seeded cross-engine consistency (every engine's circuit re-simulates to
 the spec; optimal sizes bound heuristic sizes; depth-optimal depth
 bounds the gate-optimal circuit's depth).
@@ -35,7 +35,7 @@ class TestRegistry:
     def test_engine_names_complete(self):
         assert engine_names() == [
             "clifford", "depth", "heuristic", "linear", "optimal",
-            "plain-bfs", "portfolio", "race", "sat", "wide",
+            "plain-bfs", "race", "sat", "wide",
         ]
 
     def test_unknown_engine(self):
@@ -190,37 +190,46 @@ class TestAdapters:
 
 
 class TestPortfolio:
+    """The race engine as a solver portfolio over the MMD, optimal and
+    SAT tiers, including the Section 4.4 bound-meet promotion and SAT
+    closing the gap the scan left."""
+
     def test_optimal_tier(self):
-        engine = create_engine("portfolio", n_wires=3, k=3, cache_dir=False)
+        engine = create_engine("race", n_wires=3, k=3, cache_dir=False)
         result = engine.synthesize(SynthesisRequest(spec=NOT_A_3))
-        assert result.engine == "portfolio"
-        assert result.extra["tier"] == "optimal"
+        assert result.engine == "race"
+        # In reach: the scan answers exactly, unless SAT gets there first.
+        assert result.extra["winner"] in ("optimal", "sat")
         assert result.guarantee == GUARANTEE_OPTIMAL
         assert result.size == 1
 
     def test_heuristic_tier_with_matching_bound_is_optimal(self):
         # Out of the optimal engine's reach, but the proven lower bound
-        # meets the heuristic circuit: provably minimal without SAT.
+        # meets the heuristic circuit: provably minimal.  SAT is capped
+        # below the answer, so only the bound meet can prove it.
         engine = create_engine(
-            "portfolio", n_wires=4, k=2, max_list_size=1, cache_dir=False
+            "race", n_wires=4, k=2, max_list_size=1, cache_dir=False,
+            sat_max_gates=3,
         )
         result = engine.synthesize(SynthesisRequest(spec=SHIFT4))
-        assert result.extra["tier"] == "heuristic"
+        assert result.extra["winner"] == "heuristic"
         assert result.guarantee == GUARANTEE_OPTIMAL
         assert result.size == 4
         assert result.extra["lower_bound"] == 4
+        assert result.extra["upper_bound"] == 4
 
     def test_sat_tier_closes_gap(self):
         # MMD gives 4 gates, the bound proof gives 3; SAT at size 3 hits.
         engine = create_engine(
-            "portfolio", n_wires=3, k=2, max_list_size=0, cache_dir=False
-        )
+            "race", n_wires=3, k=2, max_list_size=0, cache_dir=False
+        ).prepare()
         result = engine.synthesize(
             SynthesisRequest(spec="[0,1,7,6,4,3,2,5]")
         )
-        assert result.extra["tier"] == "sat"
+        assert result.extra["winner"] == "sat"
         assert result.guarantee == GUARANTEE_OPTIMAL
         assert result.size == 3
+        assert result.extra["lower_bound"] == 3
         assert result.extra["upper_bound"] == 4
         spec = Permutation.from_spec("[0,1,7,6,4,3,2,5]")
         assert result.circuit_obj.implements(spec)

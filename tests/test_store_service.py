@@ -5,7 +5,7 @@ The headline property of the ``.rdb`` format: one store file backs
 the same physical pages as the parent (mapping-identity evidence read
 from ``/proc/<pid>/maps``), and their answers are byte-identical.  Also
 covers the stats/health ``database`` block, spawn-worker store routing,
-and the mapped-vs-legacy cold-start ratio.
+and the mapped-vs-rebuild cold-start ratio.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro import store
@@ -30,10 +31,9 @@ pytestmark = pytest.mark.skipif(
 
 @pytest.fixture(scope="module")
 def warm_cache(tmp_path_factory):
-    """A cache directory holding the n=4, k=4 .npz and its .rdb sidecar."""
+    """A cache directory holding the n=4, k=4 .rdb store."""
     cache = tmp_path_factory.mktemp("warm-cache")
     OptimalSynthesizer(n_wires=4, k=4, max_list_size=1, cache_dir=cache).prepare()
-    assert (cache / "db-n4-k4.npz").exists()
     assert (cache / "db-n4-k4.rdb").exists()
     return cache
 
@@ -123,13 +123,13 @@ class TestSharedMapping:
         reason="spawn start method unavailable",
     )
     def test_spawn_workers_reopen_the_store(self, warm_cache):
-        from repro.service.workers import HardQueryPool, _handle_store_path
+        from repro.service.workers import HardQueryPool
 
         synth = OptimalSynthesizer(
             n_wires=4, k=4, max_list_size=1, cache_dir=warm_cache
         )
         handle = synth.handle()
-        assert _handle_store_path(handle) == warm_cache / "db-n4-k4.rdb"
+        assert handle.store_path == warm_cache / "db-n4-k4.rdb"
         pool = HardQueryPool(handle, processes=1, start_method="spawn")
         try:
             word = _hard_word(handle.database)
@@ -149,7 +149,6 @@ class TestSharedMapping:
             max_list_size=3,
             database=db4_k4,
             engine=engine4_l7,
-            cache_path=None,
         )
         if "spawn" not in multiprocessing.get_all_start_methods():
             pytest.skip("spawn start method unavailable")
@@ -158,12 +157,17 @@ class TestSharedMapping:
 
 
 class TestColdStart:
-    def test_mapped_cold_start_beats_npz_rebuild(self, warm_cache):
-        """The mapped open must be at least 5x faster than the legacy
-        load (the bench suite's db.* ops track the real ratio, ~100x at
-        k=5; the margin here is conservative for noisy CI hosts)."""
-        npz = warm_cache / "db-n4-k4.npz"
-        rdb = warm_cache / "db-n4-k4.rdb"
+    def test_mapped_cold_start_beats_rebuild(self, tmp_path):
+        """The mapped open must be at least 5x faster than rebuilding
+        the hash table from the same representatives.  k=5 (~109k
+        classes) puts the rebuild well above the mapping's fixed cost
+        (~80x on a 2-core x86 host); the margin is conservative for
+        noisy CI hosts."""
+        from repro.synth.bfs import build_database
+
+        rdb = store.write_rdb(build_database(4, 5), tmp_path / "db.rdb")
+        mapped_db = store.map_database(rdb)
+        reps = [np.array(r, dtype=np.uint64) for r in mapped_db.reps_by_size]
 
         def best_of(thunk, trials=3):
             times = []
@@ -173,9 +177,11 @@ class TestColdStart:
                 times.append(time.perf_counter() - start)
             return min(times)
 
-        legacy = best_of(lambda: OptimalDatabase.load(npz))
+        rebuild = best_of(
+            lambda: OptimalDatabase.from_reps(4, mapped_db.k, reps)
+        )
         mapped = best_of(lambda: store.map_database(rdb))
-        assert mapped * 5 < legacy, (
+        assert mapped * 5 < rebuild, (
             f"mapped cold start {mapped * 1e3:.2f}ms not >=5x faster than "
-            f"legacy {legacy * 1e3:.2f}ms"
+            f"rebuild {rebuild * 1e3:.2f}ms"
         )

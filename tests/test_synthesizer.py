@@ -57,16 +57,17 @@ class TestCaching:
     def test_cache_roundtrip(self, tmp_path):
         first = OptimalSynthesizer(k=3, max_list_size=2, cache_dir=tmp_path)
         first.prepare()
-        assert (tmp_path / "db-n4-k3.npz").exists()
+        assert (tmp_path / "db-n4-k3.rdb").exists()
         second = OptimalSynthesizer(k=3, max_list_size=2, cache_dir=tmp_path)
         second.prepare()
         assert second.database.reduced_counts() == [1, 4, 33, 425]
+        assert list(tmp_path.iterdir()) == [tmp_path / "db-n4-k3.rdb"]
 
     def test_cache_disabled(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         synth = OptimalSynthesizer(k=2, max_list_size=1, cache_dir=False)
         synth.prepare()
-        assert list(tmp_path.glob("*.npz")) == []
+        assert list(tmp_path.iterdir()) == []
 
     def test_stale_cache_rebuilt(self, tmp_path):
         # A k=2 cache cannot serve a k=3 synthesizer of the same file name;
