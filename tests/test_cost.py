@@ -1,5 +1,7 @@
 """Tests for cost-aware optimal synthesis (paper §5 extension)."""
 
+import hashlib
+
 import pytest
 
 from repro.core.circuit import Circuit
@@ -56,6 +58,10 @@ class TestCostDatabase:
         assert counts[1] == 2
         # Cost 5: includes the TOF class.
         assert 5 in counts
+        assert counts == {
+            0: 1, 1: 2, 2: 9, 3: 40, 4: 176, 5: 622,
+            6: 1643, 7: 2729, 8: 2787, 9: 6516, 10: 31402,
+        }
 
     def test_out_of_bound_returns_none(self, cost_db):
         from repro.benchmarks_data import get_benchmark
@@ -117,6 +123,26 @@ class TestCostSynthesis:
             except SynthesisError:
                 continue
             assert cost >= engine4_l7.size_of(word)
+
+    def test_golden_digest(self, cost_synth):
+        """Byte identity of the cost peel against a fixed reference over
+        64 seeded random circuits of 1-3 gates ("-" marks a function
+        costlier than the bound)."""
+        from repro.rng.mt19937 import MersenneTwister
+        from repro.rng.sampling import random_circuit
+
+        rng = MersenneTwister(17)
+        lines = []
+        for i in range(64):
+            perm = Permutation(random_circuit(4, 1 + i % 3, rng).to_word(), 4)
+            if cost_synth.database.cost_of(perm.word) is None:
+                lines.append("-")
+            else:
+                lines.append(str(cost_synth.synthesize(perm)))
+        digest = hashlib.sha256("".join(f"{line}\n" for line in lines).encode())
+        assert digest.hexdigest() == (
+            "ed82ac91c2214b82df5f08f45841c4b87339d9780733c943f403d8b35ac7111b"
+        )
 
     def test_out_of_reach_raises(self, cost_synth):
         from repro.benchmarks_data import get_benchmark

@@ -1,5 +1,7 @@
 """Tests for depth-optimal synthesis (paper §5 extension)."""
 
+import hashlib
+
 import pytest
 
 from repro.core.circuit import Circuit
@@ -65,6 +67,7 @@ class TestDepthDatabase:
         assert counts[0] == 1
         # Depth 1 classes: every layer collapses to 11 canonical classes.
         assert counts[1] == 11
+        assert counts == [1, 11, 159, 5072, 162755]
 
     def test_gates_have_depth_one(self, depth_synth):
         for gate in all_gates(4):
@@ -107,6 +110,22 @@ class TestDepthSynthesis:
 
         with pytest.raises(SynthesisError):
             depth_synth.depth(get_benchmark("hwb4").permutation())
+
+    def test_golden_digest(self, depth_synth):
+        """Byte identity of the layer peel against a fixed reference over
+        64 seeded random circuits of 1-4 gates."""
+        from repro.rng.mt19937 import MersenneTwister
+        from repro.rng.sampling import random_circuit
+
+        rng = MersenneTwister(13)
+        lines = []
+        for i in range(64):
+            word = random_circuit(4, 1 + i % 4, rng).to_word()
+            lines.append(str(depth_synth.synthesize(Permutation(word, 4))))
+        digest = hashlib.sha256("".join(f"{line}\n" for line in lines).encode())
+        assert digest.hexdigest() == (
+            "93be43b850b6345c4038d6938039593fec06875b56dcd1305bd1f14a96cf5e13"
+        )
 
     def test_parallel_pair_is_depth_one(self, depth_synth):
         circuit = Circuit.parse("NOT(a) CNOT(c,d)", 4)

@@ -1,5 +1,8 @@
 """Tests for the generalized gate libraries (NCT/NCTS/NCTSF/NCP)."""
 
+import hashlib
+import random
+
 import pytest
 
 from repro.core import packed
@@ -72,6 +75,19 @@ class TestSizeTables:
         table = build_size_table(nct(4), 4)
         assert table.reduced_counts == db4_k4.reduced_counts()
 
+    @pytest.mark.parametrize(
+        "maker,expected",
+        [
+            (ncts, [1, 5, 46, 568, 8577]),
+            (nctsf, [1, 6, 73, 1163, 24145]),
+            (ncp, [1, 3, 87, 3077, 115557]),
+        ],
+    )
+    def test_reduced_counts_n4_k4(self, maker, expected):
+        table = build_size_table(maker(4), 4)
+        assert table.reduced_counts == expected
+        assert not table.complete
+
     def test_full_distributions_n3(self):
         """Exact full-group distributions per library; richer libraries
         shrink the maximum size (NCT 8 -> NCP 6)."""
@@ -111,6 +127,22 @@ class TestSizeTables:
             for label in labels:
                 current = packed.compose(current, by_label[label].word, 3)
             assert current == word
+
+    def test_golden_digest(self):
+        """Byte identity of the label peel against a fixed reference:
+        60 seeded n = 3 functions each over NCTSF and over NCP (whose
+        Peres gates are not involutions)."""
+        lines = []
+        for maker, k in ((nctsf, 7), (ncp, 6)):
+            table = build_size_table(maker(3), k)
+            sampler = random.Random(3)
+            for _ in range(60):
+                word = packed.random_word(3, sampler)
+                lines.append(" ".join(table.peel_labels(word)))
+        digest = hashlib.sha256("".join(f"{line}\n" for line in lines).encode())
+        assert digest.hexdigest() == (
+            "7c6f862d102ddd1cea7dbd224848ea9f189fd9eaefd2437a5c2e7ca540374ce4"
+        )
 
     def test_peel_beyond_depth_raises(self):
         table = build_size_table(nct(3), 2)

@@ -1,5 +1,9 @@
 """Tests for optimal linear synthesis (paper §4.3, Table 5)."""
 
+import hashlib
+import random
+
+import numpy as np
 import pytest
 
 from repro.core.circuit import Circuit
@@ -84,6 +88,20 @@ class TestLinearSynthesis:
             circuit = linear4.synthesize(perm)
             assert circuit.implements(perm)
             assert circuit.gate_count == linear4.size(perm)
+
+    def test_golden_digest(self, linear4):
+        """Byte identity of the linear peel against a fixed reference over
+        100 seeded members of the affine group."""
+        keys = np.sort(linear4.database.table.keys())
+        sampler = random.Random(5)
+        lines = [
+            str(linear4.synthesize(Permutation(int(keys[sampler.randrange(len(keys))]), 4)))
+            for _ in range(100)
+        ]
+        digest = hashlib.sha256("".join(f"{line}\n" for line in lines).encode())
+        assert digest.hexdigest() == (
+            "2a79824be4e3683dd660210571595197ce692e2c50a8c0f35fc03801c0066c53"
+        )
 
     def test_non_linear_rejected(self, linear4):
         from repro.benchmarks_data import get_benchmark

@@ -1,5 +1,7 @@
 """Tests for the meet-in-the-middle search (paper Algorithm 1)."""
 
+import hashlib
+
 import pytest
 
 from repro.core import packed
@@ -34,6 +36,21 @@ class TestPeel:
 
         with pytest.raises(SizeLimitExceededError):
             peel_minimal_circuit(get_benchmark("hwb4").permutation().word, db4_k4)
+
+    def test_golden_digest_all_n3_classes(self, db3):
+        """Byte identity against a fixed reference: the peeled circuit of
+        every one of the 3,670 n = 3 class representatives, in (size,
+        word) order, one line each."""
+        lines = [
+            str(peel_minimal_circuit(int(word), db3))
+            for reps in db3.reps_by_size
+            for word in reps.tolist()
+        ]
+        assert len(lines) == 3670
+        digest = hashlib.sha256("".join(f"{line}\n" for line in lines).encode())
+        assert digest.hexdigest() == (
+            "d1fdfab46063bc8a8c6c99d504cde708d9e2d3232eacc87ef610937d74cf1464"
+        )
 
 
 class TestSearchCorrectness:

@@ -46,6 +46,7 @@ class TestFiveWires:
     def test_two_gate_count_structure(self, wide5):
         # Level 2 is below 80^2 (cancellations and commutations collide).
         assert 0 < wide5.counts[2] < 80 * 80
+        assert wide5.counts == [1, 80, 5080]
         assert wide5.states_stored == sum(wide5.counts)
 
     def test_synthesize_random_circuits(self, wide5):
