@@ -3,10 +3,19 @@
 Starting from the identity, each level composes every known function of
 size ``i - 1`` (and its inverse) with every library gate, canonicalizes
 the result, and keeps the classes not seen before: those have size
-exactly ``i``.  Two engines are provided:
+exactly ``i``.  Section 5 of the paper notes that only this generation
+phase changes for another gate family, cost model or depth, so the
+module holds one copy of each loop and every table in
+:mod:`repro.synth` is an instantiation of them:
 
-* :func:`build_database` -- the production engine: chunked, numpy-
-  vectorized, size-only storage (circuits are reconstructed by peeling).
+* :func:`level_search` -- the search: chunked, numpy-vectorized, over
+  packed words, parameterized by the generator words, an integer weight
+  per generator, the ×48 symmetry reduction (or none) and a bound.
+* :func:`peel` -- the reconstruction: strip one generator at a time,
+  keeping the first whose remainder sits exactly its weight lower.
+* :func:`build_database` -- Algorithm 2 itself: NCT gates, unit
+  weights, ×48 reduction; size-only storage (circuits are reconstructed
+  by peeling).
 * :func:`bfs_reference` -- a direct scalar transcription of the paper's
   Algorithm 2, including the per-representative witness gate and its
   first/last flag.  It is used as the ground truth in tests.
@@ -22,14 +31,162 @@ candidates the BFS generates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache, partial
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from repro.core import equivalence, packed
 from repro.core.gates import Gate, all_gates
 from repro.core.packed_np import canonical_np, compose_np, inverse_np
+from repro.errors import DatabaseError
+from repro.hashing.table import LinearProbingTable
 from repro.perf.trace import trace
 from repro.synth.database import OptimalDatabase
+
+
+def level_search(
+    n_wires: int,
+    generators: "Sequence[int] | np.ndarray",
+    bound: "int | None",
+    weights: "Sequence[int] | None" = None,
+    reduce: bool = True,
+    chunk: int = 1 << 18,
+    progress=None,
+) -> "tuple[LinearProbingTable, list[np.ndarray]]":
+    """Level-synchronous search from the identity over packed words.
+
+    Level t holds the keys of minimal total generator weight exactly t:
+    canonical representatives with ``reduce``, raw functions without.
+    It is built in pull form: for each distinct weight w in increasing
+    order, the keys of level t - w (with ``reduce``, also their
+    inverses) are composed with every generator of weight w, and each
+    key not seen before is inserted at once with value t.  Every weight
+    is positive, so all values below t are final when level t starts.
+    With unit weights this is Algorithm 2's loop, insertion order
+    included.
+
+    Args:
+        n_wires: Wire count (2..4).
+        generators: Generator words, expanded in this order.  With
+            ``reduce`` the set must be closed under wire relabeling and
+            inversion.
+        bound: Last level to build; ``None`` runs until exhausted (the
+            last ``max(weights)`` levels are empty).
+        weights: Positive integer weight per generator (``None``: unit).
+        reduce: Apply the ×48 symmetry reduction.
+        chunk: Source chunk size for memory-bounded expansion.
+        progress: Optional callback ``progress(level, n_new_keys)``.
+
+    Returns ``(table, levels)``: the key -> level map and, per level
+    built, its sorted new keys (``levels[0]`` is the identity).
+    """
+    words = np.asarray(generators, dtype=np.uint64)
+    per_word = [1] * words.shape[0] if weights is None else list(weights)
+    by_weight = {
+        weight: words[[w == weight for w in per_word]]
+        for weight in sorted(set(per_word))
+    }
+    reach = max(by_weight, default=1)
+
+    table = LinearProbingTable(capacity_bits=8)
+    levels = [np.array([packed.identity(n_wires)], dtype=np.uint64)]
+    table.insert_batch(levels[0], np.uint8(0))
+    with trace("bfs.build", n_wires=n_wires, k=bound):
+        while bound is None or len(levels) <= bound:
+            level = len(levels)
+            with trace("bfs.level", level=level) as span:
+                fresh_pieces: list[np.ndarray] = []
+                for weight, weight_words in by_weight.items():
+                    if weight > level:
+                        break
+                    sources = levels[level - weight]
+                    if reduce:
+                        sources = np.unique(
+                            np.concatenate([sources, inverse_np(sources, n_wires)])
+                        )
+                    for start in range(0, sources.shape[0], chunk):
+                        block = sources[start : start + chunk]
+                        for word in weight_words:
+                            candidates = compose_np(block, word, n_wires)
+                            if reduce:
+                                candidates = canonical_np(candidates, n_wires)
+                            keys = np.unique(candidates)
+                            fresh = keys[~table.contains_batch(keys)]
+                            if fresh.size:
+                                table.insert_batch(fresh, np.uint8(level))
+                                fresh_pieces.append(fresh)
+                if fresh_pieces:
+                    levels.append(np.sort(np.concatenate(fresh_pieces)))
+                else:
+                    levels.append(np.empty(0, dtype=np.uint64))
+                if span is not None:
+                    span.attrs["classes"] = int(levels[-1].shape[0])
+            if progress is not None:
+                progress(level, int(levels[-1].shape[0]))
+            if not any(recent.shape[0] for recent in levels[-reach:]):
+                break
+    return table, levels
+
+
+def level_counts(levels: "list[np.ndarray]") -> list[int]:
+    """Keys per level, without the empty levels that end an exhausted
+    search."""
+    counts = [int(keys.shape[0]) for keys in levels]
+    while counts[-1] == 0:
+        counts.pop()
+    return counts
+
+
+def peel(
+    word: Any,
+    size: int,
+    steps: "Sequence[tuple[Any, Any, int]]",
+    size_of: "Callable[[Any], int | None]",
+    compose: "Callable[[Any, Any], Any]",
+) -> "list[Any]":
+    """Labels of a minimal generator sequence for ``word``, in order.
+
+    Each round walks the ``(label, step, weight)`` triples in the given
+    order and keeps the first whose remainder ``compose(current, step)``
+    has ``size_of`` exactly ``weight`` lower than the current size:
+    ``step`` undoes the generator ``label`` as the last one applied.
+    Raises :class:`DatabaseError` naming the word and size when no step
+    fits, i.e. when ``size_of`` is inconsistent.
+    """
+    labels: list[Any] = []
+    current = word
+    remaining = size
+    while remaining > 0:
+        for label, step, weight in steps:
+            if weight > remaining:
+                continue
+            rest = compose(current, step)
+            if size_of(rest) == remaining - weight:
+                labels.append(label)
+                current = rest
+                remaining -= weight
+                break
+        else:
+            name = f"{current:#x}" if isinstance(current, int) else str(current)
+            raise DatabaseError(
+                f"no peelable gate found for word {name} at size "
+                f"{remaining}; the database is inconsistent"
+            )
+    labels.reverse()
+    return labels
+
+
+@lru_cache(maxsize=None)
+def nct_steps(n_wires: int) -> "tuple[tuple[Gate, int, int], ...]":
+    """The NCT library as unit-weight peel steps (gates are involutions,
+    so each gate's word also undoes it)."""
+    return tuple((gate, gate.to_word(n_wires), 1) for gate in all_gates(n_wires))
+
+
+def packed_compose(n_wires: int) -> "Callable[[int, int], int]":
+    """:func:`repro.core.packed.compose` on ``n_wires`` wires, for :func:`peel`."""
+    return partial(packed.compose, n_wires=n_wires)
 
 
 def build_database(
@@ -50,51 +207,17 @@ def build_database(
     """
     if gates is None:
         gates = all_gates(n_wires)
-    gate_words = np.array(
-        [g.to_word(n_wires) for g in gates], dtype=np.uint64
+    table, reps_by_size = level_search(
+        n_wires,
+        [g.to_word(n_wires) for g in gates],
+        k,
+        chunk=chunk,
+        progress=progress,
     )
-
-    identity = packed.identity(n_wires)
-    reps_by_size: list[np.ndarray] = [np.array([identity], dtype=np.uint64)]
-    db = OptimalDatabase.from_reps(n_wires, 0, reps_by_size)
-    table = db.table
-
-    frontier = reps_by_size[0]
-    with trace("bfs.build", n_wires=n_wires, k=k):
-        for size in range(1, k + 1):
-            with trace("bfs.level", level=size) as span:
-                sources = np.unique(
-                    np.concatenate([frontier, inverse_np(frontier, n_wires)])
-                )
-                fresh_pieces: list[np.ndarray] = []
-                for start in range(0, sources.shape[0], chunk):
-                    block = sources[start : start + chunk]
-                    for gate_word in gate_words:
-                        candidates = compose_np(block, gate_word, n_wires)
-                        canon = np.unique(canonical_np(candidates, n_wires))
-                        fresh = canon[~table.contains_batch(canon)]
-                        if fresh.size:
-                            table.insert_batch(fresh, np.uint8(size))
-                            fresh_pieces.append(fresh)
-                if fresh_pieces:
-                    frontier = np.sort(np.concatenate(fresh_pieces))
-                else:
-                    frontier = np.empty(0, dtype=np.uint64)
-                reps_by_size.append(frontier)
-                if span is not None:
-                    span.attrs["classes"] = int(frontier.shape[0])
-            if progress is not None:
-                progress(size, int(frontier.shape[0]))
-            if frontier.shape[0] == 0:
-                # The whole group is exhausted below k: pad the remaining
-                # levels with empty arrays and stop searching.
-                for _ in range(size + 1, k + 1):
-                    reps_by_size.append(np.empty(0, dtype=np.uint64))
-                break
-
-    db.k = k
-    db.reps_by_size = reps_by_size
-    return db
+    # An exhausted group stops early: pad the remaining levels.
+    while len(reps_by_size) <= k:
+        reps_by_size.append(np.empty(0, dtype=np.uint64))
+    return OptimalDatabase(n_wires=n_wires, k=k, table=table, reps_by_size=reps_by_size)
 
 
 # ----------------------------------------------------------------------
@@ -180,6 +303,11 @@ def reconstruct_from_witnesses(
 
     Returns the gate list in application order.
     """
+
+    def size_of(word: int) -> "int | None":
+        witness = witnesses.get(equivalence.canonical(word, n_wires))
+        return None if witness is None else witness.size
+
     gates_front: list[Gate] = []
     gates_back: list[Gate] = []
     current = canon
@@ -209,28 +337,6 @@ def reconstruct_from_witnesses(
         current = rest
         if rest != rest_canon:
             # Fall back to size-directed peeling for non-canonical remainders.
-            sizes = {c: w.size for c, w in witnesses.items()}
-            middle = _peel_with_sizes(rest, expected, sizes, n_wires)
+            middle = peel(rest, expected, nct_steps(n_wires), size_of, packed_compose(n_wires))
             return gates_front + middle + gates_back
     return gates_front + gates_back
-
-
-def _peel_with_sizes(
-    word: int, size: int, sizes: dict[int, int], n_wires: int
-) -> list[Gate]:
-    """Peel a minimal circuit using a canon->size map only."""
-    out: list[Gate] = []
-    current = word
-    remaining = size
-    library = [(g, g.to_word(n_wires)) for g in all_gates(n_wires)]
-    while remaining > 0:
-        for gate, gate_word in library:
-            rest = packed.compose(current, gate_word, n_wires)
-            if sizes.get(equivalence.canonical(rest, n_wires)) == remaining - 1:
-                out.insert(0, gate)
-                current = rest
-                remaining -= 1
-                break
-        else:
-            raise AssertionError("size map inconsistent during peeling")
-    return out

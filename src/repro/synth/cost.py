@@ -3,8 +3,9 @@
 The paper notes that "to account for different gate costs, one needs to
 search for small circuits via increasing cost by one ... as opposed to
 adding a gate to all maximal size optimal circuits."  This module
-implements exactly that: a bucketed Dijkstra (uniform-cost search) over
-equivalence classes, with integer per-gate costs.
+implements exactly that: the level search of :mod:`repro.synth.bfs` with
+integer per-gate weights (a uniform-cost search over equivalence
+classes).
 
 The default cost model is the standard NCV quantum-cost table
 (NOT = CNOT = 1, TOF = 5, TOF4 = 13), reflecting the paper's remark that
@@ -19,18 +20,26 @@ reversal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
-from repro.core import equivalence, packed
+import numpy as np
+
+from repro.core import equivalence
 from repro.core.circuit import Circuit
 from repro.core.gates import Gate, all_gates
 from repro.core.permutation import Permutation
 from repro.errors import SynthesisError
+from repro.hashing.table import LinearProbingTable
+from repro.synth.bfs import level_search, packed_compose, peel
 
 #: Standard NCV quantum-cost per control count (Barenco et al. decompositions).
 NCV_COST_BY_CONTROLS: dict[int, int] = {0: 1, 1: 1, 2: 5, 3: 13}
 
 #: Uniform cost model -- makes cost-optimal equal gate-count-optimal.
 UNIT_COST_BY_CONTROLS: dict[int, int] = {0: 1, 1: 1, 2: 1, 3: 1}
+
+#: Largest cost the uint8 table stores (255 marks an absent class).
+MAX_STORED_COST = 254
 
 
 def gate_cost(gate: Gate, model: "dict[int, int] | None" = None) -> int:
@@ -40,6 +49,23 @@ def gate_cost(gate: Gate, model: "dict[int, int] | None" = None) -> int:
     return model[len(gate.controls)]
 
 
+def _check_model(model: "Mapping[int, object]", n_wires: int) -> None:
+    """Raise :class:`SynthesisError` unless ``model`` gives every control
+    count 0..n_wires-1 a positive integer cost."""
+    for controls in range(n_wires):
+        cost = model.get(controls)
+        if cost is None:
+            raise SynthesisError(
+                f"cost model {model} has no cost for gates with "
+                f"{controls} controls"
+            )
+        if not isinstance(cost, int) or cost <= 0:
+            raise SynthesisError(
+                f"gate costs must be positive integers, got {cost!r} for "
+                f"gates with {controls} controls"
+            )
+
+
 @dataclass
 class CostDatabase:
     """Optimal *cost* (not gate count) per equivalence class, up to a bound.
@@ -47,25 +73,28 @@ class CostDatabase:
     Attributes:
         n_wires: Wire count.
         max_cost: Exploration bound; classes costlier than this are absent.
-        costs: Map canonical word -> minimal circuit cost.
+        table: Canonical word -> minimal circuit cost.
+        levels: ``levels[c]`` = sorted canonical words of cost c.
         model: The per-control-count cost table used.
     """
 
     n_wires: int
     max_cost: int
-    costs: dict[int, int]
+    table: LinearProbingTable
+    levels: list[np.ndarray]
     model: dict[int, int]
 
     def cost_of(self, word: int) -> "int | None":
         """Minimal cost of the function, or None when above the bound."""
-        return self.costs.get(equivalence.canonical(word, self.n_wires))
+        return self.table.get(equivalence.canonical(word, self.n_wires))
 
     def counts_by_cost(self) -> dict[int, int]:
         """Number of equivalence classes per optimal cost (ablation data)."""
-        histogram: dict[int, int] = {}
-        for cost in self.costs.values():
-            histogram[cost] = histogram.get(cost, 0) + 1
-        return dict(sorted(histogram.items()))
+        return {
+            cost: int(keys.shape[0])
+            for cost, keys in enumerate(self.levels)
+            if keys.shape[0]
+        }
 
 
 def build_cost_database(
@@ -73,60 +102,29 @@ def build_cost_database(
     max_cost: int,
     model: "dict[int, int] | None" = None,
 ) -> CostDatabase:
-    """Bucketed Dijkstra over equivalence classes by circuit cost.
+    """Uniform-cost search over equivalence classes by circuit cost.
 
-    Buckets are processed in increasing cost; because every gate has
-    positive cost, entries popped from bucket ``c`` are final (stale
-    duplicates are skipped by comparing with the cost table).
+    The symmetry-reduced level search with each gate weighted by its
+    cost: level c pulls from level c - w for every gate weight w.
+    Costs are stored in the table's uint8 slots, so ``max_cost`` is at
+    most 254.
     """
-    import numpy as np
-
-    from repro.core.packed_np import canonical_np, compose_np, inverse_np
-
     if model is None:
         model = NCV_COST_BY_CONTROLS
-    if any(cost <= 0 for cost in model.values()):
-        raise SynthesisError("gate costs must be positive integers")
-    # Group gates by weight so each weight class is expanded in one
-    # vectorized pass.
-    by_weight: dict[int, list[int]] = {}
-    for gate in all_gates(n_wires):
-        by_weight.setdefault(gate_cost(gate, model), []).append(
-            gate.to_word(n_wires)
+    _check_model(model, n_wires)
+    if not 0 <= max_cost <= MAX_STORED_COST:
+        raise SynthesisError(
+            f"max_cost must be in 0..{MAX_STORED_COST}, got {max_cost}"
         )
-    weight_arrays = {
-        weight: np.array(sorted(set(words)), dtype=np.uint64)
-        for weight, words in by_weight.items()
-    }
-
-    identity = packed.identity(n_wires)
-    costs: dict[int, int] = {identity: 0}
-    buckets: dict[int, list[int]] = {0: [identity]}
-    for cost in range(max_cost + 1):
-        bucket = buckets.pop(cost, None)
-        if not bucket:
-            continue
-        live = [canon for canon in set(bucket) if costs.get(canon) == cost]
-        if not live:
-            continue
-        reps = np.array(sorted(live), dtype=np.uint64)
-        sources = np.unique(np.concatenate([reps, inverse_np(reps, n_wires)]))
-        for weight, gate_words in weight_arrays.items():
-            new_cost = cost + weight
-            if new_cost > max_cost:
-                continue
-            for gate_word in gate_words:
-                candidates = np.unique(
-                    canonical_np(compose_np(sources, gate_word, n_wires), n_wires)
-                )
-                for canon_candidate in candidates.tolist():
-                    known = costs.get(canon_candidate)
-                    if known is not None and known <= new_cost:
-                        continue
-                    costs[canon_candidate] = new_cost
-                    buckets.setdefault(new_cost, []).append(canon_candidate)
+    gates = all_gates(n_wires)
+    table, levels = level_search(
+        n_wires,
+        [gate.to_word(n_wires) for gate in gates],
+        max_cost,
+        weights=[gate_cost(gate, model) for gate in gates],
+    )
     return CostDatabase(
-        n_wires=n_wires, max_cost=max_cost, costs=costs, model=dict(model)
+        n_wires=n_wires, max_cost=max_cost, table=table, levels=levels, model=dict(model)
     )
 
 
@@ -147,7 +145,8 @@ class CostOptimalSynthesizer:
     ):
         self.n_wires = n_wires
         self.max_cost = max_cost
-        self.model = dict(model) if model else dict(NCV_COST_BY_CONTROLS)
+        self.model = dict(NCV_COST_BY_CONTROLS if model is None else model)
+        _check_model(self.model, n_wires)
         self._db: "CostDatabase | None" = None
 
     @property
@@ -171,29 +170,12 @@ class CostOptimalSynthesizer:
     def synthesize(self, spec) -> Circuit:
         """A provably minimum-cost circuit (peeled from the cost table)."""
         perm = Permutation.coerce(spec, self.n_wires)
-        db = self.database
-        total = self.cost(perm)
-        library = [
-            (g, g.to_word(self.n_wires), gate_cost(g, self.model))
-            for g in all_gates(self.n_wires)
-        ]
-        gates: list[Gate] = []
-        current = perm.word
-        remaining = total
-        while remaining > 0:
-            for gate, gate_word, weight in library:
-                if weight > remaining:
-                    continue
-                rest = packed.compose(current, gate_word, self.n_wires)
-                if db.cost_of(rest) == remaining - weight:
-                    gates.append(gate)
-                    current = rest
-                    remaining -= weight
-                    break
-            else:
-                raise SynthesisError("cost database inconsistent during peel")
-        gates.reverse()
-        circuit = Circuit(gates=tuple(gates), n_wires=self.n_wires)
+        n = self.n_wires
+        steps = [(g, g.to_word(n), gate_cost(g, self.model)) for g in all_gates(n)]
+        gates = peel(
+            perm.word, self.cost(perm), steps, self.database.cost_of, packed_compose(n)
+        )
+        circuit = Circuit(gates=tuple(gates), n_wires=n)
         if not circuit.implements(perm):
             raise AssertionError("cost-optimal peel produced a wrong circuit")
         return circuit

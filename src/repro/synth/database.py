@@ -4,8 +4,9 @@ This is the central data structure of the paper: a hash table mapping the
 canonical representative of every equivalence class of size <= k to its
 optimal circuit size.  The paper additionally stores one witness gate per
 representative; we instead reconstruct circuits by *peeling* (testing all
-32 gates for one that reduces the size by one), which needs no witness
-storage and has the same asymptotic cost -- see DESIGN.md.  The scalar
+32 gates for one that reduces the size by one, :func:`repro.synth.bfs.peel`),
+which needs no witness storage and has the same asymptotic cost -- see
+DESIGN.md.  The scalar
 reference engine in :mod:`repro.synth.bfs` stores witnesses exactly as the
 paper does, and the tests cross-check the two.
 """
@@ -17,8 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core import equivalence, packed
-from repro.core.gates import Gate, all_gates
+from repro.core import equivalence
 from repro.core.packed_np import canonical_np, class_sizes_np
 from repro.errors import DatabaseError
 from repro.hashing.table import LinearProbingTable
@@ -157,22 +157,4 @@ class OptimalDatabase:
             table.insert_batch(reps, np.uint8(size))
         return OptimalDatabase(
             n_wires=n_wires, k=k, table=table, reps_by_size=list(reps_by_size)
-        )
-
-    # ------------------------------------------------------------------
-    # Circuit reconstruction by peeling
-    # ------------------------------------------------------------------
-    def peel_last_gate(self, word: int, size: int) -> "tuple[Gate, int]":
-        """Find a gate λ that is the last gate of some minimal circuit for
-        ``word``; return ``(λ, rest)`` with ``rest`` = the word with λ
-        removed (so ``size(rest) == size - 1``).
-        """
-        for gate in all_gates(self.n_wires):
-            gate_word = gate.to_word(self.n_wires)
-            rest = packed.compose(word, gate_word, self.n_wires)
-            if self.size_of(rest) == size - 1:
-                return gate, rest
-        raise DatabaseError(
-            f"no peelable gate found for word {word:#x} at size {size}; "
-            "the database is inconsistent"
         )

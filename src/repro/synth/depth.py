@@ -17,11 +17,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core import equivalence, packed
 from repro.core.circuit import Circuit
 from repro.core.gates import Gate, all_gates
 from repro.core.permutation import Permutation
 from repro.errors import SynthesisError
+from repro.hashing.table import LinearProbingTable
+from repro.synth.bfs import level_counts, level_search, packed_compose, peel
 
 
 def all_layers(n_wires: int) -> list[tuple[Gate, ...]]:
@@ -56,60 +60,36 @@ def layer_word(layer: tuple[Gate, ...], n_wires: int) -> int:
 
 @dataclass
 class DepthDatabase:
-    """Optimal depth per equivalence class, up to ``max_depth``."""
+    """Optimal depth per equivalence class, up to ``max_depth``.
+
+    Attributes:
+        n_wires: Wire count.
+        max_depth: Exploration bound; deeper classes are absent.
+        table: Canonical word -> minimal depth.
+        levels: ``levels[d]`` = sorted canonical words of depth d.
+    """
 
     n_wires: int
     max_depth: int
-    depths: dict[int, int]
+    table: LinearProbingTable
+    levels: list[np.ndarray]
 
     def depth_of(self, word: int) -> "int | None":
         """Minimal depth, or None when above the explored bound."""
-        return self.depths.get(equivalence.canonical(word, self.n_wires))
+        return self.table.get(equivalence.canonical(word, self.n_wires))
 
     def counts_by_depth(self) -> list[int]:
         """Number of equivalence classes at each optimal depth."""
-        out = [0] * (max(self.depths.values()) + 1)
-        for depth in self.depths.values():
-            out[depth] += 1
-        return out
+        return level_counts(self.levels)
 
 
 def build_depth_database(n_wires: int, max_depth: int) -> DepthDatabase:
     """Symmetry-reduced BFS where one step appends a whole layer."""
-    import numpy as np
-
-    from repro.core.packed_np import canonical_np, compose_np, inverse_np
-    from repro.hashing.table import LinearProbingTable
-
-    layer_words = np.array(
-        sorted({layer_word(layer, n_wires) for layer in all_layers(n_wires)}),
-        dtype=np.uint64,
+    layer_words = sorted({layer_word(layer, n_wires) for layer in all_layers(n_wires)})
+    table, levels = level_search(n_wires, layer_words, max_depth)
+    return DepthDatabase(
+        n_wires=n_wires, max_depth=max_depth, table=table, levels=levels
     )
-    identity = packed.identity(n_wires)
-    table = LinearProbingTable(capacity_bits=12)
-    table.insert(identity, 0)
-    depths: dict[int, int] = {identity: 0}
-    frontier = np.array([identity], dtype=np.uint64)
-    for depth in range(1, max_depth + 1):
-        sources = np.unique(
-            np.concatenate([frontier, inverse_np(frontier, n_wires)])
-        )
-        fresh_pieces = []
-        for lw in layer_words:
-            candidates = np.unique(
-                canonical_np(compose_np(sources, lw, n_wires), n_wires)
-            )
-            # repro: allow[unrouted-lookup] candidates are canonical_np output (np.unique preserves canonicity), already routed
-            fresh = candidates[~table.contains_batch(candidates)]
-            if fresh.size:
-                table.insert_batch(fresh, np.uint8(depth))
-                fresh_pieces.append(fresh)
-        if not fresh_pieces:
-            break
-        frontier = np.concatenate(fresh_pieces)
-        for word in frontier.tolist():
-            depths[word] = depth
-    return DepthDatabase(n_wires=n_wires, max_depth=max_depth, depths=depths)
 
 
 class DepthOptimalSynthesizer:
@@ -119,14 +99,14 @@ class DepthOptimalSynthesizer:
         self.n_wires = n_wires
         self.max_depth = max_depth
         self._db: "DepthDatabase | None" = None
-        self._layers: "list[tuple[tuple[Gate, ...], int]] | None" = None
+        self._layers: "list[tuple[tuple[Gate, ...], int, int]] | None" = None
 
     @property
     def database(self) -> DepthDatabase:
         if self._db is None:
             self._db = build_depth_database(self.n_wires, self.max_depth)
             self._layers = [
-                (layer, layer_word(layer, self.n_wires))
+                (layer, layer_word(layer, self.n_wires), 1)
                 for layer in all_layers(self.n_wires)
             ]
         return self._db
@@ -149,21 +129,16 @@ class DepthOptimalSynthesizer:
         """
         perm = Permutation.coerce(spec, self.n_wires)
         db = self.database
-        total = self.depth(perm)
-        gates: list[Gate] = []
-        current = perm.word
-        remaining = total
-        while remaining > 0:
-            for layer, lw in self._layers:
-                rest = packed.compose(current, lw, self.n_wires)
-                if db.depth_of(rest) == remaining - 1:
-                    gates[:0] = layer
-                    current = rest
-                    remaining -= 1
-                    break
-            else:
-                raise SynthesisError("depth database inconsistent during peel")
-        circuit = Circuit(gates=tuple(gates), n_wires=self.n_wires)
+        assert self._layers is not None
+        layers = peel(
+            perm.word,
+            self.depth(perm),
+            self._layers,
+            db.depth_of,
+            packed_compose(self.n_wires),
+        )
+        gates = tuple(gate for layer in layers for gate in layer)
+        circuit = Circuit(gates=gates, n_wires=self.n_wires)
         if not circuit.implements(perm):
             raise AssertionError("depth-optimal peel produced a wrong circuit")
         return circuit

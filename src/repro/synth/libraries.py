@@ -32,9 +32,9 @@ import numpy as np
 
 from repro.core import equivalence, packed
 from repro.core.gates import all_gates
-from repro.core.packed_np import canonical_np, compose_np, inverse_np
 from repro.errors import InvalidGateError, SynthesisError
 from repro.hashing.table import LinearProbingTable
+from repro.synth.bfs import level_counts, level_search, packed_compose, peel
 
 
 @dataclass(frozen=True)
@@ -237,63 +237,26 @@ class LibrarySizeTable:
         Peeling removes the *last* gate: if f = rest·g then
         rest = f·g⁻¹ must sit one level lower.
         """
-        n = self.library.n_wires
         size = self.size_of(word)
         if size is None:
             raise SynthesisError(
                 f"function exceeds the {self.library.name} table depth {self.k}"
             )
-        labels: list[str] = []
-        current = word
-        remaining = size
-        while remaining > 0:
-            for gate in self.library.gates:
-                rest = packed.compose(current, gate.inverse_word, n)
-                if self.size_of(rest) == remaining - 1:
-                    labels.append(gate.label)
-                    current = rest
-                    remaining -= 1
-                    break
-            else:
-                raise SynthesisError("library size table inconsistent")
-        labels.reverse()
-        return labels
+        steps = [(gate.label, gate.inverse_word, 1) for gate in self.library.gates]
+        return peel(word, size, steps, self.size_of, packed_compose(self.library.n_wires))
 
 
 def build_size_table(
     library: GateLibrary, k: int, chunk: int = 1 << 18
 ) -> LibrarySizeTable:
     """Generalized Algorithm 2 over an arbitrary symmetry-closed library."""
-    n = library.n_wires
-    identity = packed.identity(n)
-    table = LinearProbingTable(capacity_bits=10)
-    table.insert(identity, 0)
-    counts = [1]
-    frontier = np.array([identity], dtype=np.uint64)
-    complete = False
-    for size in range(1, k + 1):
-        sources = np.unique(np.concatenate([frontier, inverse_np(frontier, n)]))
-        fresh_pieces: list[np.ndarray] = []
-        for start in range(0, sources.shape[0], chunk):
-            block = sources[start : start + chunk]
-            for gate_word in library.gate_words:
-                candidates = compose_np(block, gate_word, n)
-                canon = np.unique(canonical_np(candidates, n))
-                fresh = canon[~table.contains_batch(canon)]
-                if fresh.size:
-                    table.insert_batch(fresh, np.uint8(size))
-                    fresh_pieces.append(fresh)
-        if not fresh_pieces:
-            complete = True
-            break
-        frontier = np.concatenate(fresh_pieces)
-        counts.append(int(frontier.shape[0]))
+    table, levels = level_search(library.n_wires, library.gate_words, k, chunk=chunk)
     return LibrarySizeTable(
         library=library,
         k=k,
         table=table,
-        reduced_counts=counts,
-        complete=complete,
+        reduced_counts=level_counts(levels),
+        complete=levels[-1].shape[0] == 0,
     )
 
 

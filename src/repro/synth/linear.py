@@ -19,12 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core import packed
 from repro.core.circuit import Circuit
-from repro.core.gates import Gate, linear_gates
+from repro.core.gates import linear_gates
 from repro.core.permutation import Permutation
 from repro.errors import SynthesisError
 from repro.hashing.table import LinearProbingTable
+from repro.synth.bfs import level_counts, level_search, packed_compose, peel
 
 
 @dataclass
@@ -60,31 +60,13 @@ class LinearDatabase:
 
 def build_linear_database(n_wires: int = 4) -> LinearDatabase:
     """Exhaustive BFS over the affine group with NOT and CNOT gates."""
-    gates = linear_gates(n_wires)
-    gate_words = np.array([g.to_word(n_wires) for g in gates], dtype=np.uint64)
-
-    table = LinearProbingTable(capacity_bits=8)
-    identity = packed.identity(n_wires)
-    table.insert(identity, 0)
-    counts = [1]
-    frontier = np.array([identity], dtype=np.uint64)
-    size = 0
-    from repro.core.packed_np import compose_np
-
-    while frontier.size:
-        size += 1
-        candidate_blocks = [
-            compose_np(frontier, gate_word, n_wires) for gate_word in gate_words
-        ]
-        candidates = np.unique(np.concatenate(candidate_blocks))
-        # repro: allow[unrouted-lookup] exhaustive raw BFS over the affine group; the table holds every member, not canonical reps
-        fresh = candidates[~table.contains_batch(candidates)]
-        if fresh.size == 0:
-            break
-        table.insert_batch(fresh, np.uint8(size))
-        counts.append(int(fresh.size))
-        frontier = fresh
-    return LinearDatabase(n_wires=n_wires, table=table, counts=counts)
+    table, levels = level_search(
+        n_wires,
+        [g.to_word(n_wires) for g in linear_gates(n_wires)],
+        None,
+        reduce=False,
+    )
+    return LinearDatabase(n_wires=n_wires, table=table, counts=level_counts(levels))
 
 
 class LinearSynthesizer:
@@ -97,16 +79,11 @@ class LinearSynthesizer:
     def __init__(self, n_wires: int = 4):
         self.n_wires = n_wires
         self._db: "LinearDatabase | None" = None
-        self._library: "list[tuple[Gate, int]] | None" = None
 
     @property
     def database(self) -> LinearDatabase:
         if self._db is None:
             self._db = build_linear_database(self.n_wires)
-        if self._library is None:
-            self._library = [
-                (g, g.to_word(self.n_wires)) for g in linear_gates(self.n_wires)
-            ]
         return self._db
 
     def size(self, spec) -> int:
@@ -122,27 +99,12 @@ class LinearSynthesizer:
     def synthesize(self, spec) -> Circuit:
         """A provably minimal NOT/CNOT circuit for a linear function."""
         perm = Permutation.coerce(spec, self.n_wires)
-        db = self.database
-        size = db.size_of(perm.word)
-        if size is None:
-            raise SynthesisError(
-                f"{perm.spec()} is not a linear reversible function"
-            )
-        gates: list[Gate] = []
-        current = perm.word
-        remaining = size
-        while remaining > 0:
-            for gate, gate_word in self._library:
-                rest = packed.compose(current, gate_word, self.n_wires)
-                if db.size_of(rest) == remaining - 1:
-                    gates.append(gate)
-                    current = rest
-                    remaining -= 1
-                    break
-            else:
-                raise SynthesisError("linear database inconsistent")
-        gates.reverse()
-        return Circuit(gates=tuple(gates), n_wires=self.n_wires)
+        n = self.n_wires
+        steps = [(g, g.to_word(n), 1) for g in linear_gates(n)]
+        gates = peel(
+            perm.word, self.size(perm), steps, self.database.size_of, packed_compose(n)
+        )
+        return Circuit(gates=tuple(gates), n_wires=n)
 
     def hardest_functions(self) -> list[Permutation]:
         """All linear functions attaining the maximal optimal size.

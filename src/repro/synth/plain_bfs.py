@@ -13,12 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.core import packed
 from repro.core.gates import all_gates
-from repro.core.packed_np import compose_np
 from repro.hashing.table import LinearProbingTable
+from repro.synth.bfs import level_search
 
 
 @dataclass
@@ -58,30 +55,14 @@ def plain_bfs(n_wires: int, k: int, chunk: int = 1 << 20) -> PlainBfsResult:
     memory -- which is precisely the limitation the paper's symmetry
     reduction removes.
     """
-    gate_words = np.array(
-        [g.to_word(n_wires) for g in all_gates(n_wires)], dtype=np.uint64
+    table, levels = level_search(
+        n_wires,
+        [g.to_word(n_wires) for g in all_gates(n_wires)],
+        k,
+        reduce=False,
+        chunk=chunk,
     )
-    identity = packed.identity(n_wires)
-    table = LinearProbingTable(capacity_bits=10)
-    table.insert(identity, 0)
-    counts = [1]
-    frontier = np.array([identity], dtype=np.uint64)
-    for size in range(1, k + 1):
-        fresh_pieces: list[np.ndarray] = []
-        for start in range(0, frontier.shape[0], chunk):
-            block = frontier[start : start + chunk]
-            for gate_word in gate_words:
-                candidates = np.unique(compose_np(block, gate_word, n_wires))
-                # repro: allow[unrouted-lookup] baseline BFS stores all raw functions; membership is checked on raw words by design
-                fresh = candidates[~table.contains_batch(candidates)]
-                if fresh.size:
-                    table.insert_batch(fresh, np.uint8(size))
-                    fresh_pieces.append(fresh)
-        if not fresh_pieces:
-            counts.append(0)
-            break
-        frontier = np.concatenate(fresh_pieces)
-        counts.append(int(frontier.shape[0]))
+    counts = [int(keys.shape[0]) for keys in levels]
     return PlainBfsResult(n_wires=n_wires, k=k, counts=counts, table=table)
 
 

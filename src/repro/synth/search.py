@@ -25,10 +25,10 @@ import numpy as np
 
 from repro.core import packed
 from repro.core.circuit import Circuit
-from repro.core.gates import Gate, all_gates
 from repro.core.packed_np import canonical_np, compose_np, expand_classes_np
 from repro.errors import SizeLimitExceededError
 from repro.perf.trace import trace
+from repro.synth.bfs import nct_steps, packed_compose, peel
 from repro.synth.database import OptimalDatabase
 
 
@@ -36,8 +36,9 @@ def peel_minimal_circuit(word: int, db: OptimalDatabase) -> Circuit:
     """Minimal circuit for a function of size <= k, by gate peeling.
 
     Repeatedly finds a gate that is the last gate of some minimal circuit
-    (one must exist) and strips it.  Raises ``SizeLimitExceededError``
-    when the function is not in the database.
+    (one must exist) and strips it, probing through ``db.size_of``.
+    Raises ``SizeLimitExceededError`` when the function is not in the
+    database.
     """
     size = db.size_of(word)
     if size is None:
@@ -46,13 +47,9 @@ def peel_minimal_circuit(word: int, db: OptimalDatabase) -> Circuit:
             lower_bound=db.k + 1,
         )
     with trace("search.peel", size=size):
-        gates: list[Gate] = []
-        current = word
-        for remaining in range(size, 0, -1):
-            gate, current = db.peel_last_gate(current, remaining)
-            gates.append(gate)
-        gates.reverse()
-        return Circuit(gates=tuple(gates), n_wires=db.n_wires)
+        n = db.n_wires
+        gates = peel(word, size, nct_steps(n), db.size_of, packed_compose(n))
+        return Circuit(gates=tuple(gates), n_wires=n)
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,22 @@ import numpy as np
 from repro.core.circuit import Circuit
 from repro.core.gates import Gate, all_gates
 from repro.errors import SynthesisError
+from repro.synth.bfs import peel
+
+
+#: Widest function a uint8 value row can hold (values up to 255).
+MAX_WIRES = 8
+
+
+def _row(values, n_wires: int) -> np.ndarray:
+    """``values`` as a uint8 row; raises :class:`SynthesisError` unless it
+    is a permutation of 0..2^n-1."""
+    values = list(values)
+    if sorted(values) != list(range(1 << n_wires)):
+        raise SynthesisError(
+            f"{values} is not a permutation of 0..2^n-1 = 0..{(1 << n_wires) - 1}"
+        )
+    return np.asarray(values, dtype=np.uint8)
 
 
 def _gate_tables(n_wires: int) -> tuple[list[Gate], np.ndarray]:
@@ -53,8 +69,7 @@ class WideBfsResult:
 
     def size_of(self, values) -> "int | None":
         """Optimal size of a function given as its value sequence."""
-        row = np.asarray(list(values), dtype=np.uint8)
-        return self.known.get(row.tobytes())
+        return self.known.get(_row(values, self.n_wires).tobytes())
 
     @property
     def states_stored(self) -> int:
@@ -71,6 +86,11 @@ def wide_bfs(
     sizes are 80 / ~3.1e3 / ~2.4e5 / ~1.9e7..., so k = 3 is comfortable
     and k = 4 is the practical single-machine limit.
     """
+    if n_wires > MAX_WIRES:
+        raise SynthesisError(
+            f"the wide engine stores values as uint8, so it takes at most "
+            f"{MAX_WIRES} wires, got {n_wires}"
+        )
     size = 1 << n_wires
     _, tables = _gate_tables(n_wires)
 
@@ -111,25 +131,20 @@ def wide_synthesize(result: WideBfsResult, values) -> Circuit:
     which must sit exactly one level lower.
     """
     gates, tables = _gate_tables(result.n_wires)
-    row = np.asarray(list(values), dtype=np.uint8)
+    row = _row(values, result.n_wires)
     size = result.known.get(row.tobytes())
     if size is None:
         raise SynthesisError(
             f"function is beyond the BFS depth k={result.k}"
         )
-    chosen: list[Gate] = []
-    remaining = size
-    while remaining > 0:
-        for index, gate in enumerate(gates):
-            rest = tables[index][row]
-            if result.known.get(rest.tobytes()) == remaining - 1:
-                chosen.append(gate)
-                row = rest
-                remaining -= 1
-                break
-        else:
-            raise SynthesisError("wide BFS table inconsistent")
-    chosen.reverse()
+    steps = [(gate, tables[index], 1) for index, gate in enumerate(gates)]
+    chosen = peel(
+        row,
+        size,
+        steps,
+        lambda rest: result.known.get(rest.tobytes()),
+        lambda current, table: table[current],
+    )
     circuit = Circuit(gates=tuple(chosen), n_wires=result.n_wires)
     if circuit.truth_table() != list(values):
         raise AssertionError("wide synthesis produced a wrong circuit")

@@ -40,6 +40,23 @@ class TestGateCost:
         with pytest.raises(SynthesisError):
             build_cost_database(4, 3, model={0: 0, 1: 1, 2: 1, 3: 1})
 
+    def test_missing_control_count_rejected(self):
+        with pytest.raises(SynthesisError, match="3 controls"):
+            build_cost_database(4, 3, model={0: 1, 1: 1, 2: 5})
+
+    def test_fractional_cost_rejected(self):
+        with pytest.raises(SynthesisError, match="positive integers"):
+            build_cost_database(4, 3, model={0: 1, 1: 1, 2: 5, 3: 1.5})
+
+    def test_empty_model_rejected(self):
+        """An empty model is not a request for the NCV default."""
+        with pytest.raises(SynthesisError, match="0 controls"):
+            CostOptimalSynthesizer(4, max_cost=3, model={})
+
+    def test_max_cost_beyond_table_rejected(self):
+        with pytest.raises(SynthesisError, match="max_cost"):
+            build_cost_database(4, 255)
+
 
 class TestCostDatabase:
     def test_identity_cost_zero(self, cost_db):

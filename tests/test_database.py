@@ -8,6 +8,7 @@ import pytest
 from repro.core import equivalence, packed
 from repro.errors import DatabaseError
 from repro.store import HEADER_SIZE, write_rdb
+from repro.synth.bfs import nct_steps, packed_compose, peel
 from repro.synth.database import OptimalDatabase
 
 
@@ -175,12 +176,21 @@ class TestPersistence:
 
 
 class TestPeeling:
+    """The core peel (:func:`repro.synth.bfs.peel`) over the NCT steps."""
+
+    @staticmethod
+    def _peel(db, word, size):
+        return peel(word, size, nct_steps(4), db.size_of, packed_compose(4))
+
     def test_peel_last_gate_reduces_size(self, db4_k4, rng):
         for size in (2, 3, 4):
             reps = db4_k4.reps_by_size[size]
             for _ in range(5):
                 word = int(reps[rng.randrange(len(reps))])
-                gate, rest = db4_k4.peel_last_gate(word, size)
+                gates = self._peel(db4_k4, word, size)
+                assert len(gates) == size
+                gate = gates[-1]
+                rest = packed.compose(word, gate.to_word(4), 4)
                 assert db4_k4.size_of(rest) == size - 1
                 # Appending the gate back reproduces the function.
                 assert packed.compose(rest, gate.to_word(4), 4) == word
@@ -190,7 +200,7 @@ class TestPeeling:
 
         word = get_benchmark("hwb4").permutation().word
         with pytest.raises(DatabaseError):
-            db4_k4.peel_last_gate(word, 1)
+            self._peel(db4_k4, word, 1)
 
     def test_peel_inconsistent_message_names_word(self, db4_k4):
         """The inconsistency error identifies the offending word and size."""
@@ -198,18 +208,14 @@ class TestPeeling:
 
         word = get_benchmark("hwb4").permutation().word
         with pytest.raises(DatabaseError, match="inconsistent") as excinfo:
-            db4_k4.peel_last_gate(word, 1)
+            self._peel(db4_k4, word, 1)
         assert f"{word:#x}" in str(excinfo.value)
+        assert "size 1" in str(excinfo.value)
 
     def test_peel_wrong_claimed_size_raises(self, db4_k4):
-        """Claiming size s for a word whose true size is not s cannot find
-        a peel that lands on size s - 1 ... unless a neighbor happens to
-        have that size; use size 1 against identity (size 0) which would
-        need a size-0 neighbor == identity itself."""
-        from repro.core import packed
-
+        """Claiming size 1 for the identity (true size 0) needs a gate
+        whose remainder has size 0, i.e. a gate equal to the identity:
+        there is none."""
         identity = packed.identity(4)
-        # identity has size 0; peeling at claimed size 0 loops zero times in
-        # callers, but a direct call with size=-1 finds nothing of size -2.
         with pytest.raises(DatabaseError):
-            db4_k4.peel_last_gate(identity, -1)
+            self._peel(db4_k4, identity, 1)

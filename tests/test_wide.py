@@ -67,6 +67,34 @@ class TestFiveWires:
         with pytest.raises(SynthesisError):
             wide_synthesize(wide5, shift)
 
+    @pytest.mark.parametrize("bad", [300, -1])
+    def test_out_of_range_value_rejected(self, wide5, bad):
+        values = list(range(32))
+        values[7] = bad
+        with pytest.raises(SynthesisError, match="not a permutation of 0..2"):
+            wide_synthesize(wide5, values)
+        with pytest.raises(SynthesisError, match="not a permutation of 0..2"):
+            wide5.size_of(values)
+
+    def test_duplicate_values_rejected(self, wide5):
+        values = list(range(32))
+        values[7] = values[8]
+        with pytest.raises(SynthesisError, match="not a permutation of 0..2"):
+            wide_synthesize(wide5, values)
+
+    def test_engine_rejects_non_permutation(self):
+        from repro.engines import SynthesisRequest, create_engine
+
+        engine = create_engine("wide", n_wires=5, k=1)
+        values = list(range(32))
+        values[0] = 300
+        with pytest.raises(SynthesisError, match="not a permutation of 0..2"):
+            engine.synthesize(SynthesisRequest(spec=values))
+
+    def test_more_than_eight_wires_rejected(self):
+        with pytest.raises(SynthesisError, match="at most 8 wires"):
+            wide_bfs(9, 1)
+
     def test_frontier_guard(self):
         with pytest.raises(SynthesisError):
             wide_bfs(5, 4, max_frontier=1000)
