@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import time
 
+import numpy as np
+
 from repro.core.circuit import Circuit
 from repro.engines.api import (
     GUARANTEE_HEURISTIC,
@@ -72,12 +74,12 @@ class PlainBfsEngine(Engine):
                 lower_bound=self.k + 1,
             )
         # The table stores sizes only; reconstruct by gate peeling, as in
-        # the reduced engine but over raw words.
-        gates = peel(
-            perm.word,
-            size,
+        # the reduced engine but over raw words (its keys are raw words).
+        [gates] = peel(
+            np.array([perm.word], dtype=np.uint64),
+            [size],
             nct_steps(self.n_wires),
-            table.size_of,
+            table.table.lookup_batch,
             packed_compose(self.n_wires),
         )
         circuit = Circuit(gates=tuple(gates), n_wires=self.n_wires)

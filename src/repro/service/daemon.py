@@ -9,7 +9,8 @@ Architecture::
                     -> vectorized lookup: canonical_np + lookup_batch
                        over the WHOLE batch (one numpy pass)
                     -> ResultCache keyed by canonical representative
-                    -> fast path: circuit peeling (size <= k)
+                    -> fast path: circuit peeling (size <= k), one
+                       lock-step peel for the batch's database hits
                     -> hard path: HardQueryPool (A_i-list scans)
 
 Control ops (``ping``/``stats``/``health``/``shutdown``) are answered
@@ -82,7 +83,7 @@ from repro.service.resilience import (
 )
 from repro.service.tasks import CANCELLED, DEGRADED, TaskRegistry
 from repro.service.workers import HardQueryPool
-from repro.synth.search import peel_minimal_circuit
+from repro.synth.search import peel_minimal_circuit, peel_minimal_circuits
 from repro.synth.synthesizer import SynthesisHandle
 
 log = logging.getLogger(__name__)
@@ -813,7 +814,10 @@ class SynthesisService:
         self.metrics.histogram("lookup_seconds").observe(
             time.perf_counter() - lookup_started
         )
-        # Phase 3: resolve per request from cache / db; collect hard ones.
+        # Phase 3: resolve per request from cache / db; collect the
+        # database hits that need a circuit (by word, first asker first)
+        # and the hard ones.
+        to_peel: dict[int, tuple[int, int, list[PendingRequest]]] = {}
         hard: list[tuple[PendingRequest, int, int]] = []
         for (pending, word), canon, size in zip(
             work, keys.tolist(), sizes.tolist()
@@ -827,9 +831,20 @@ class SynthesisService:
                         request, word, hit.size, hit.circuit, "cache"
                     ))
                     continue
+            if request.op == "synth" and word in to_peel:
+                # Asked again in this batch: served from the cache once
+                # the first asker's circuit is in, as if it came later.
+                to_peel[word][2].append(pending)
+                continue
             if size != db.MISSING:
                 self.metrics.counter("served_from_db").inc()
-                self._resolve_db_hit(pending, word, canon, size)
+                self.cache.store_size(n, canon, size)
+                if request.op == "size":
+                    pending.resolve(
+                        self._ok_synthesis(request, word, size, None, "db")
+                    )
+                else:
+                    to_peel[word] = (canon, size, [pending])
                 continue
             bound = self.cache.bound_for(n, canon, self.handle.max_size)
             if bound is not None:
@@ -844,6 +859,7 @@ class SynthesisService:
                 ))
                 continue
             hard.append((pending, word, canon))
+        self._peel_db_hits(to_peel)
         # Phase 4: hard queries fan out to the worker pool -- unless the
         # breaker is open or a request's deadline cannot fit a scan, in
         # which case the request degrades to an upper-bound answer from
@@ -998,28 +1014,58 @@ class SynthesisService:
             body["cost"] = result.cost
         pending.resolve(protocol.encode_response(request.id, result=body))
 
-    def _resolve_db_hit(
-        self, pending: PendingRequest, word: int, canon: int, size: int
+    def _peel_db_hits(
+        self, to_peel: "dict[int, tuple[int, int, list[PendingRequest]]]"
     ) -> None:
-        """Answer a request whose class is in the database (size <= k)."""
-        request = pending.request
+        """Answer the database hits that need a circuit with one lock-step
+        peel for the whole batch.
+
+        ``to_peel`` maps each word to its ``(canon, size, askers)``.  The
+        first asker gets a ``db`` answer and later askers in the batch a
+        ``cache`` answer, as if they had been answered in turn.  When the
+        table is inconsistent the words are peeled one at a time, so only
+        the requests whose own peel fails get the error envelope.
+        """
+        if not to_peel:
+            return
+        db = self.handle.database
         n = self.handle.n_wires
-        self.cache.store_size(n, canon, size)
-        if request.op == "size":
-            pending.resolve(self._ok_synthesis(request, word, size, None, "db"))
-            return
+        words = list(to_peel)
         peel_started = time.perf_counter()
+        circuits: "list[Circuit | ReproError]"
         try:
-            circuit = peel_minimal_circuit(word, self.handle.database)
-        except ReproError as exc:  # pragma: no cover - inconsistent db
-            pending.resolve(self._error_response(request.id, exc))
-            return
-        self.metrics.histogram("peel_seconds").observe(
-            time.perf_counter() - peel_started
-        )
-        text = str(circuit)
-        self.cache.store_circuit(n, canon, word, size, text)
-        pending.resolve(self._ok_synthesis(request, word, size, text, "db"))
+            sizes = [to_peel[word][1] for word in words]
+            circuits = list(peel_minimal_circuits(words, db, sizes))
+        except ReproError:
+            circuits = []
+            for word in words:
+                try:
+                    circuits.append(peel_minimal_circuit(word, db))
+                except ReproError as exc:
+                    circuits.append(exc)
+        else:
+            self.metrics.histogram("peel_seconds").observe(
+                time.perf_counter() - peel_started
+            )
+        for word, circuit in zip(words, circuits):
+            canon, size, askers = to_peel[word]
+            if isinstance(circuit, ReproError):
+                for pending in askers:
+                    pending.resolve(
+                        self._error_response(pending.request.id, circuit)
+                    )
+                continue
+            text = str(circuit)
+            self.cache.store_circuit(n, canon, word, size, text)
+            first, *later = askers
+            first.resolve(
+                self._ok_synthesis(first.request, word, size, text, "db")
+            )
+            for pending in later:
+                self.metrics.counter("served_from_cache").inc()
+                pending.resolve(self._ok_synthesis(
+                    pending.request, word, size, text, "cache"
+                ))
 
     # ------------------------------------------------------------------
     # Response shaping

@@ -39,8 +39,11 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as _FutureTimeout
 
+import numpy as np
+
 from repro import __version__
 from repro.core.equivalence import canonical
+from repro.core.packed_np import canonical_np
 from repro.core.permutation import Permutation
 from repro.engines import GUARANTEE_UPPER_BOUND, SynthesisRequest, create_engine
 from repro.errors import (
@@ -379,7 +382,7 @@ class ShardRouter:
     ) -> str:
         entries = request.options.get("requests", [])
         slots: "list[dict | None]" = [None] * len(entries)
-        parsed: list = []  # (index, sub_request, perm, canon)
+        routed: list = []  # (index, sub_request, perm)
         for index, entry in enumerate(entries):
             try:
                 sub = protocol.decode_payload(entry)
@@ -401,9 +404,13 @@ class ShardRouter:
                     ),
                 )
                 continue
-            parsed.append(
-                (index, sub, perm, canonical(perm.word, self.n_wires))
-            )
+            routed.append((index, sub, perm))
+        # One vectorized canonicalization keys the whole batch.
+        words = np.array([perm.word for _, _, perm in routed], dtype=np.uint64)
+        parsed = [  # (index, sub_request, perm, canon)
+            (*item, canon)
+            for item, canon in zip(routed, canonical_np(words, self.n_wires).tolist())
+        ]
         groups: "dict[str | None, list]" = {}
         for item in parsed:
             groups.setdefault(self.ring.owner(item[3]), []).append(item)

@@ -11,8 +11,9 @@ module holds one copy of each loop and every table in
 * :func:`level_search` -- the search: chunked, numpy-vectorized, over
   packed words, parameterized by the generator words, an integer weight
   per generator, the ×48 symmetry reduction (or none) and a bound.
-* :func:`peel` -- the reconstruction: strip one generator at a time,
-  keeping the first whose remainder sits exactly its weight lower.
+* :func:`peel` -- the reconstruction: strip the last generator from
+  every word of a batch in one vectorized round, each word keeping the
+  first generator whose remainder sits exactly its weight lower.
 * :func:`build_database` -- Algorithm 2 itself: NCT gates, unit
   weights, ×48 reduction; size-only storage (circuits are reconstructed
   by peeling).
@@ -31,7 +32,7 @@ candidates the BFS generates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -139,41 +140,63 @@ def level_counts(levels: "list[np.ndarray]") -> list[int]:
 
 
 def peel(
-    word: Any,
-    size: int,
+    words: np.ndarray,
+    sizes: "Sequence[int] | np.ndarray",
     steps: "Sequence[tuple[Any, Any, int]]",
-    size_of: "Callable[[Any], int | None]",
-    compose: "Callable[[Any, Any], Any]",
-) -> "list[Any]":
-    """Labels of a minimal generator sequence for ``word``, in order.
+    lookup: "Callable[[np.ndarray], np.ndarray]",
+    compose: "Callable[[np.ndarray, np.ndarray], np.ndarray]",
+) -> "list[list[Any]]":
+    """Labels of a minimal generator sequence for every word, in order.
 
-    Each round walks the ``(label, step, weight)`` triples in the given
-    order and keeps the first whose remainder ``compose(current, step)``
-    has ``size_of`` exactly ``weight`` lower than the current size:
-    ``step`` undoes the generator ``label`` as the last one applied.
-    Raises :class:`DatabaseError` naming the word and size when no step
-    fits, i.e. when ``size_of`` is inconsistent.
+    ``words`` is an array of packed ``uint64`` words (or of value rows),
+    ``sizes`` their sizes.  The peel runs in lock-step: each round
+    composes every word not yet at size 0 with every step at once --
+    ``compose(current, step_array)`` gives an ``(L, G, ...)`` array --
+    and sizes all ``L * G`` remainders with one ``lookup`` call (flat
+    array in, sizes out; absent entries may read as anything outside
+    ``0..size``).  Each row then keeps the first ``(label, step,
+    weight)`` triple in the given order whose weight fits its remaining
+    size and whose remainder sits exactly ``weight`` lower: ``step``
+    undoes the generator ``label`` as the last one applied.  That is the
+    triple a one-step-at-a-time walk over the same order stops at, so
+    the answers do not depend on which words share a call.
+
+    Raises :class:`DatabaseError` naming the word and size of the first
+    row with no fitting step, i.e. when ``lookup`` is inconsistent.
     """
-    labels: list[Any] = []
-    current = word
-    remaining = size
-    while remaining > 0:
-        for label, step, weight in steps:
-            if weight > remaining:
-                continue
-            rest = compose(current, step)
-            if size_of(rest) == remaining - weight:
-                labels.append(label)
-                current = rest
-                remaining -= weight
-                break
-        else:
-            name = f"{current:#x}" if isinstance(current, int) else str(current)
+    current = np.array(words)
+    remaining = np.array(sizes, dtype=np.int64)
+    step_array = np.asarray([step for _, step, _ in steps], dtype=current.dtype)
+    weights = np.array([weight for _, _, weight in steps], dtype=np.int64)
+    labels: list[list[Any]] = [[] for _ in range(current.shape[0])]
+    live = np.flatnonzero(remaining > 0)
+    while live.size:
+        candidates = compose(current[live], step_array)
+        found = lookup(
+            candidates.reshape(-1, *current.shape[1:])
+        ).reshape(live.size, -1)
+        target = remaining[live, None] - weights
+        fits = (target >= 0) & (found == target)
+        stuck = ~fits.any(axis=1)
+        if stuck.any():
+            row = int(live[np.argmax(stuck)])
+            stuck_word = current[row]
+            name = (
+                f"{int(stuck_word):#x}" if stuck_word.ndim == 0
+                else str(stuck_word.tolist())
+            )
             raise DatabaseError(
                 f"no peelable gate found for word {name} at size "
-                f"{remaining}; the database is inconsistent"
+                f"{remaining[row]}; the database is inconsistent"
             )
-    labels.reverse()
+        choice = fits.argmax(axis=1)
+        current[live] = candidates[np.arange(live.size), choice]
+        remaining[live] -= weights[choice]
+        for row, index in zip(live.tolist(), choice.tolist()):
+            labels[row].append(steps[index][0])
+        live = live[remaining[live] > 0]
+    for sequence in labels:
+        sequence.reverse()
     return labels
 
 
@@ -184,9 +207,22 @@ def nct_steps(n_wires: int) -> "tuple[tuple[Gate, int, int], ...]":
     return tuple((gate, gate.to_word(n_wires), 1) for gate in all_gates(n_wires))
 
 
-def packed_compose(n_wires: int) -> "Callable[[int, int], int]":
-    """:func:`repro.core.packed.compose` on ``n_wires`` wires, for :func:`peel`."""
-    return partial(packed.compose, n_wires=n_wires)
+def packed_compose(n_wires: int) -> "Callable[[np.ndarray, np.ndarray], np.ndarray]":
+    """Every packed word composed with every step word, ``(L,) x (G,) ->
+    (L, G)``, for :func:`peel`."""
+
+    def compose(words: np.ndarray, step_words: np.ndarray) -> np.ndarray:
+        return compose_np(words[:, None], step_words[None, :], n_wires)
+
+    return compose
+
+
+def reduced_lookup(
+    table: LinearProbingTable, n_wires: int
+) -> "Callable[[np.ndarray], np.ndarray]":
+    """Vectorized lookup in a ×48-reduced table, for :func:`peel`:
+    canonicalize the words, then probe (absent keys read 255)."""
+    return lambda words: table.lookup_batch(canonical_np(words, n_wires))
 
 
 def build_database(
@@ -304,9 +340,11 @@ def reconstruct_from_witnesses(
     Returns the gate list in application order.
     """
 
-    def size_of(word: int) -> "int | None":
-        witness = witnesses.get(equivalence.canonical(word, n_wires))
-        return None if witness is None else witness.size
+    def sizes(words: np.ndarray) -> np.ndarray:
+        keys = canonical_np(words, n_wires).tolist()
+        return np.array(
+            [witnesses[key].size if key in witnesses else -1 for key in keys]
+        )
 
     gates_front: list[Gate] = []
     gates_back: list[Gate] = []
@@ -337,6 +375,12 @@ def reconstruct_from_witnesses(
         current = rest
         if rest != rest_canon:
             # Fall back to size-directed peeling for non-canonical remainders.
-            middle = peel(rest, expected, nct_steps(n_wires), size_of, packed_compose(n_wires))
+            [middle] = peel(
+                np.array([rest], dtype=np.uint64),
+                [expected],
+                nct_steps(n_wires),
+                sizes,
+                packed_compose(n_wires),
+            )
             return gates_front + middle + gates_back
     return gates_front + gates_back

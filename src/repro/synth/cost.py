@@ -30,7 +30,7 @@ from repro.core.gates import Gate, all_gates
 from repro.core.permutation import Permutation
 from repro.errors import SynthesisError
 from repro.hashing.table import LinearProbingTable
-from repro.synth.bfs import level_search, packed_compose, peel
+from repro.synth.bfs import level_search, packed_compose, peel, reduced_lookup
 
 #: Standard NCV quantum-cost per control count (Barenco et al. decompositions).
 NCV_COST_BY_CONTROLS: dict[int, int] = {0: 1, 1: 1, 2: 5, 3: 13}
@@ -172,8 +172,12 @@ class CostOptimalSynthesizer:
         perm = Permutation.coerce(spec, self.n_wires)
         n = self.n_wires
         steps = [(g, g.to_word(n), gate_cost(g, self.model)) for g in all_gates(n)]
-        gates = peel(
-            perm.word, self.cost(perm), steps, self.database.cost_of, packed_compose(n)
+        [gates] = peel(
+            np.array([perm.word], dtype=np.uint64),
+            [self.cost(perm)],
+            steps,
+            reduced_lookup(self.database.table, n),
+            packed_compose(n),
         )
         circuit = Circuit(gates=tuple(gates), n_wires=n)
         if not circuit.implements(perm):

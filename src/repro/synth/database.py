@@ -3,12 +3,12 @@
 This is the central data structure of the paper: a hash table mapping the
 canonical representative of every equivalence class of size <= k to its
 optimal circuit size.  The paper additionally stores one witness gate per
-representative; we instead reconstruct circuits by *peeling* (testing all
-32 gates for one that reduces the size by one, :func:`repro.synth.bfs.peel`),
-which needs no witness storage and has the same asymptotic cost -- see
-DESIGN.md.  The scalar
-reference engine in :mod:`repro.synth.bfs` stores witnesses exactly as the
-paper does, and the tests cross-check the two.
+representative; we instead reconstruct circuits by *peeling* (composing
+with all 32 gates and keeping the first that reduces the size by one, for
+a whole batch of words at once, :func:`repro.synth.bfs.peel`), which needs
+no witness storage and has the same asymptotic cost -- see DESIGN.md.  The
+scalar reference engine in :mod:`repro.synth.bfs` stores witnesses exactly
+as the paper does, and the tests cross-check the two.
 """
 
 from __future__ import annotations

@@ -25,7 +25,13 @@ from repro.core.gates import Gate, all_gates
 from repro.core.permutation import Permutation
 from repro.errors import SynthesisError
 from repro.hashing.table import LinearProbingTable
-from repro.synth.bfs import level_counts, level_search, packed_compose, peel
+from repro.synth.bfs import (
+    level_counts,
+    level_search,
+    packed_compose,
+    peel,
+    reduced_lookup,
+)
 
 
 def all_layers(n_wires: int) -> list[tuple[Gate, ...]]:
@@ -130,11 +136,11 @@ class DepthOptimalSynthesizer:
         perm = Permutation.coerce(spec, self.n_wires)
         db = self.database
         assert self._layers is not None
-        layers = peel(
-            perm.word,
-            self.depth(perm),
+        [layers] = peel(
+            np.array([perm.word], dtype=np.uint64),
+            [self.depth(perm)],
             self._layers,
-            db.depth_of,
+            reduced_lookup(db.table, self.n_wires),
             packed_compose(self.n_wires),
         )
         gates = tuple(gate for layer in layers for gate in layer)

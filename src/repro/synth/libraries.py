@@ -34,7 +34,13 @@ from repro.core import equivalence, packed
 from repro.core.gates import all_gates
 from repro.errors import InvalidGateError, SynthesisError
 from repro.hashing.table import LinearProbingTable
-from repro.synth.bfs import level_counts, level_search, packed_compose, peel
+from repro.synth.bfs import (
+    level_counts,
+    level_search,
+    packed_compose,
+    peel,
+    reduced_lookup,
+)
 
 
 @dataclass(frozen=True)
@@ -242,8 +248,16 @@ class LibrarySizeTable:
             raise SynthesisError(
                 f"function exceeds the {self.library.name} table depth {self.k}"
             )
+        n = self.library.n_wires
         steps = [(gate.label, gate.inverse_word, 1) for gate in self.library.gates]
-        return peel(word, size, steps, self.size_of, packed_compose(self.library.n_wires))
+        [labels] = peel(
+            np.array([word], dtype=np.uint64),
+            [size],
+            steps,
+            reduced_lookup(self.table, n),
+            packed_compose(n),
+        )
+        return labels
 
 
 def build_size_table(

@@ -101,8 +101,13 @@ class LinearSynthesizer:
         perm = Permutation.coerce(spec, self.n_wires)
         n = self.n_wires
         steps = [(g, g.to_word(n), 1) for g in linear_gates(n)]
-        gates = peel(
-            perm.word, self.size(perm), steps, self.database.size_of, packed_compose(n)
+        # The table holds every linear function raw, so raw words are its keys.
+        [gates] = peel(
+            np.array([perm.word], dtype=np.uint64),
+            [self.size(perm)],
+            steps,
+            self.database.table.lookup_batch,
+            packed_compose(n),
         )
         return Circuit(gates=tuple(gates), n_wires=n)
 

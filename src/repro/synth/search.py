@@ -20,36 +20,70 @@ element-wise minima), and batch-probes the hash table.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from repro.core import packed
 from repro.core.circuit import Circuit
-from repro.core.packed_np import canonical_np, compose_np, expand_classes_np
-from repro.errors import SizeLimitExceededError
+from repro.core.packed_np import compose_np, expand_classes_np, is_valid_np
+from repro.errors import SizeLimitExceededError, SynthesisError
 from repro.perf.trace import trace
 from repro.synth.bfs import nct_steps, packed_compose, peel
 from repro.synth.database import OptimalDatabase
 
 
-def peel_minimal_circuit(word: int, db: OptimalDatabase) -> Circuit:
-    """Minimal circuit for a function of size <= k, by gate peeling.
+def _not_a_permutation(word: int, n_wires: int) -> SynthesisError:
+    return SynthesisError(
+        f"{word:#x} is not a permutation of 0..2^n-1 = "
+        f"0..{(1 << n_wires) - 1}"
+    )
 
-    Repeatedly finds a gate that is the last gate of some minimal circuit
-    (one must exist) and strips it, probing through ``db.size_of``.
-    Raises ``SizeLimitExceededError`` when the function is not in the
+
+def _check_permutation(word: int, n_wires: int) -> None:
+    """Raise :class:`SynthesisError` unless ``word`` is a packed
+    permutation: a table lookup would canonicalize anything else into
+    some class and answer for the wrong function."""
+    if not packed.is_valid(word, n_wires):
+        raise _not_a_permutation(word, n_wires)
+
+
+def peel_minimal_circuits(
+    words: "Sequence[int] | np.ndarray",
+    db: OptimalDatabase,
+    sizes: "Sequence[int] | np.ndarray | None" = None,
+) -> list[Circuit]:
+    """Minimal circuits for functions of size <= k, by gate peeling.
+
+    All words are peeled together in lock-step (:func:`repro.synth.bfs.peel`):
+    one vectorized canonicalization and probe per round for the whole
+    batch.  Each circuit is the one the word gets when peeled alone.
+    ``sizes`` spares that lookup for callers that already made it.
+    Raises :class:`SynthesisError` for a word that is not a permutation
+    and :class:`SizeLimitExceededError` when a function is not in the
     database.
     """
-    size = db.size_of(word)
-    if size is None:
+    n = db.n_wires
+    words = np.asarray(words, dtype=np.uint64).reshape(-1)
+    valid = is_valid_np(words, n)
+    if not valid.all():
+        raise _not_a_permutation(int(words[np.argmin(valid)]), n)
+    sizes = db.sizes_batch(words) if sizes is None else np.asarray(sizes)
+    if (sizes == db.MISSING).any():
         raise SizeLimitExceededError(
             f"function of size > {db.k} cannot be peeled directly",
             lower_bound=db.k + 1,
         )
-    with trace("search.peel", size=size):
-        n = db.n_wires
-        gates = peel(word, size, nct_steps(n), db.size_of, packed_compose(n))
-        return Circuit(gates=tuple(gates), n_wires=n)
+    with trace("search.peel", size=int(sizes.max(initial=0)), words=len(words)):
+        gate_lists = peel(words, sizes, nct_steps(n), db.sizes_batch, packed_compose(n))
+        return [Circuit(gates=tuple(gates), n_wires=n) for gates in gate_lists]
+
+
+def peel_minimal_circuit(word: int, db: OptimalDatabase) -> Circuit:
+    """Minimal circuit for one function of size <= k: the one-word case
+    of :func:`peel_minimal_circuits`."""
+    _check_permutation(word, db.n_wires)
+    return peel_minimal_circuits([word], db)[0]
 
 
 @dataclass(frozen=True)
@@ -118,6 +152,7 @@ class MeetInTheMiddleSearch:
 
     def size_of(self, word: int, cancel=None) -> int:
         """Optimal size of ``word`` (without reconstructing the circuit)."""
+        _check_permutation(word, self.db.n_wires)
         fast = self.db.size_of(word)
         if fast is not None:
             return fast
@@ -137,6 +172,7 @@ class MeetInTheMiddleSearch:
         between list scans and may abort the query by raising.  The
         scan itself never catches what it raises.
         """
+        _check_permutation(word, self.db.n_wires)
         with trace("search.query"):
             return self._search(word, cancel=cancel)
 
@@ -144,7 +180,7 @@ class MeetInTheMiddleSearch:
         n = self.db.n_wires
         fast = self.db.size_of(word)
         if fast is not None:
-            circuit = peel_minimal_circuit(word, self.db)
+            [circuit] = peel_minimal_circuits([word], self.db, [fast])
             return SearchOutcome(
                 circuit=circuit, size=fast, lists_scanned=0, candidates_tested=0
             )
@@ -158,8 +194,7 @@ class MeetInTheMiddleSearch:
         # word = u·h with u = v⁻¹ of size i and h = v·word of size h_size.
         u = packed.inverse(v, n)
         h = packed.compose(v, word, n)
-        head = peel_minimal_circuit(u, self.db)
-        tail = peel_minimal_circuit(h, self.db)
+        head, tail = peel_minimal_circuits([u, h], self.db, [i, h_size])
         circuit = head.then(tail)
         if circuit.gate_count != i + h_size:
             raise AssertionError("reconstructed circuit has unexpected size")

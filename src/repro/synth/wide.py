@@ -138,12 +138,12 @@ def wide_synthesize(result: WideBfsResult, values) -> Circuit:
             f"function is beyond the BFS depth k={result.k}"
         )
     steps = [(gate, tables[index], 1) for index, gate in enumerate(gates)]
-    chosen = peel(
-        row,
-        size,
+    [chosen] = peel(
+        row[None, :],
+        [size],
         steps,
-        lambda rest: result.known.get(rest.tobytes()),
-        lambda current, table: table[current],
+        lambda rows: np.array([result.known.get(rest.tobytes(), -1) for rest in rows]),
+        lambda rows, step_tables: np.swapaxes(step_tables[:, rows], 0, 1),
     )
     circuit = Circuit(gates=tuple(chosen), n_wires=result.n_wires)
     if circuit.truth_table() != list(values):

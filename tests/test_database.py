@@ -176,11 +176,19 @@ class TestPersistence:
 
 
 class TestPeeling:
-    """The core peel (:func:`repro.synth.bfs.peel`) over the NCT steps."""
+    """The core peel (:func:`repro.synth.bfs.peel`) over the NCT steps,
+    one word per call."""
 
     @staticmethod
     def _peel(db, word, size):
-        return peel(word, size, nct_steps(4), db.size_of, packed_compose(4))
+        [gates] = peel(
+            np.array([word], dtype=np.uint64),
+            [size],
+            nct_steps(4),
+            db.sizes_batch,
+            packed_compose(4),
+        )
+        return gates
 
     def test_peel_last_gate_reduces_size(self, db4_k4, rng):
         for size in (2, 3, 4):

@@ -1,14 +1,30 @@
 """Tests for the meet-in-the-middle search (paper Algorithm 1)."""
 
 import hashlib
+import random
 
 import pytest
 
 from repro.core import packed
-from repro.core.permutation import Permutation
-from repro.errors import SizeLimitExceededError
+from repro.errors import SizeLimitExceededError, SynthesisError
 from repro.rng.sampling import PermutationSampler
-from repro.synth.search import MeetInTheMiddleSearch, peel_minimal_circuit
+from repro.synth.bfs import build_database
+from repro.synth.search import (
+    MeetInTheMiddleSearch,
+    peel_minimal_circuit,
+    peel_minimal_circuits,
+)
+
+
+def _digest(lines) -> str:
+    return hashlib.sha256("".join(f"{line}\n" for line in lines).encode()).hexdigest()
+
+
+def _random_member(word: int, n: int, rng: random.Random) -> int:
+    """A seeded member of ``word``'s class: relabeled, maybe inverted."""
+    sigma = tuple(rng.sample(range(n), n))
+    member = packed.conjugate_by_wire_perm(word, sigma, n)
+    return packed.inverse(member, n) if rng.random() < 0.5 else member
 
 
 class TestPeel:
@@ -52,6 +68,94 @@ class TestPeel:
             "d1fdfab46063bc8a8c6c99d504cde708d9e2d3232eacc87ef610937d74cf1464"
         )
 
+
+
+class TestLockStepPeel:
+    """Peeling many words in one call gives each the circuit it gets when
+    peeled alone.  The pinned digests were taken from the one-word,
+    one-gate-at-a-time scalar peel the lock-step form replaced."""
+
+    def test_all_n3_classes_and_a_member_of_each_in_one_call(self, db3):
+        reps = [word for reps in db3.reps_by_size for word in reps.tolist()]
+        rng = random.Random(15)
+        members = [_random_member(word, 3, rng) for word in reps]
+        lines = [str(c) for c in peel_minimal_circuits(reps + members, db3)]
+        assert len(lines) == 7340
+        assert _digest(lines[:3670]) == (
+            "d1fdfab46063bc8a8c6c99d504cde708d9e2d3232eacc87ef610937d74cf1464"
+        )
+        assert _digest(lines[3670:]) == (
+            "998d3a4c441f7d78875115e3e97bc86dd1c74464c321a592ff9b75c0838f623b"
+        )
+        for word, line in zip(members[::97], lines[3670::97]):
+            assert str(peel_minimal_circuit(word, db3)) == line
+
+    def test_seeded_n4_sample_with_duplicates_in_one_call(self, db4_k5):
+        rng = random.Random(4)
+        words = []
+        for reps in db4_k5.reps_by_size:
+            reps = reps.tolist()
+            for word in rng.sample(reps, min(40, len(reps))):
+                words.append(_random_member(word, 4, rng))
+        words += words[:25] + [packed.identity(4)] * 2
+        rng.shuffle(words)
+        assert {db4_k5.size_of(word) for word in words} == set(range(6))
+        circuits = peel_minimal_circuits(words, db4_k5)
+        lines = [str(circuit) for circuit in circuits]
+        assert _digest(lines) == (
+            "cdb487abb8c6d2ac601c0d1b73dd77a14d52270481d7044c8d1907ce66c2af01"
+        )
+        for word, circuit in zip(words, circuits):
+            assert circuit.to_word() == word
+            assert circuit == peel_minimal_circuit(word, db4_k5)
+
+    def test_empty_batch(self, db4_k4):
+        assert peel_minimal_circuits([], db4_k4) == []
+
+    def test_one_word_out_of_reach_fails_the_call(self, db4_k4):
+        from repro.benchmarks_data import get_benchmark
+
+        hwb4 = get_benchmark("hwb4").permutation().word
+        with pytest.raises(SizeLimitExceededError):
+            peel_minimal_circuits([packed.identity(4), hwb4], db4_k4)
+
+
+#: Words that are not permutations of 0..7: all zero, repeated values,
+#: bits above the eight n = 3 nibbles.
+NOT_PERMUTATIONS = [0, 0x11111111, 1 << 40]
+
+
+class TestRejectsNonPermutations:
+    """A non-permutation canonicalizes into some class like any word; it
+    must be rejected before that, not answered for the wrong function."""
+
+    @pytest.fixture(scope="class")
+    def search3(self):
+        db = build_database(3, 4)
+        return MeetInTheMiddleSearch(db, MeetInTheMiddleSearch.build_lists(db, 2))
+
+    @pytest.mark.parametrize("word", NOT_PERMUTATIONS)
+    def test_search(self, search3, word):
+        with pytest.raises(SynthesisError, match="not a permutation") as info:
+            search3.search(word)
+        assert not isinstance(info.value, SizeLimitExceededError)
+
+    @pytest.mark.parametrize("word", NOT_PERMUTATIONS)
+    def test_prove_lower_bound(self, search3, word):
+        with pytest.raises(SynthesisError, match="not a permutation"):
+            search3.prove_lower_bound(word)
+
+    @pytest.mark.parametrize("word", NOT_PERMUTATIONS)
+    def test_peel_minimal_circuit(self, search3, word):
+        with pytest.raises(SynthesisError, match="not a permutation") as info:
+            peel_minimal_circuit(word, search3.db)
+        assert not isinstance(info.value, SizeLimitExceededError)
+
+    @pytest.mark.parametrize("word", NOT_PERMUTATIONS)
+    def test_peel_minimal_circuits(self, search3, word):
+        valid = packed.identity(3)
+        with pytest.raises(SynthesisError, match=f"{word:#x} is not a permutation"):
+            peel_minimal_circuits([valid, word], search3.db)
 
 class TestSearchCorrectness:
     def test_exhaustive_n3(self, engine3, db3):

@@ -5,9 +5,11 @@ from __future__ import annotations
 
 import io
 import json
+import random
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.core.permutation import Permutation
@@ -468,6 +470,91 @@ class TestServiceCore:
         svc.shutdown()
         assert svc.stopped
 
+
+
+def _db_hit_words(db, seed: int) -> list[int]:
+    """Seeded members of distinct size-2..4 classes: cold database hits."""
+    from repro.core import packed
+
+    rng = random.Random(seed)
+    words = []
+    for size in (2, 3, 4, 4, 3, 4):
+        reps = db.reps_by_size[size]
+        word = int(reps[rng.randrange(len(reps))])
+        sigma = tuple(rng.sample(range(4), 4))
+        words.append(packed.conjugate_by_wire_perm(word, sigma, 4))
+    return words
+
+
+def _run_one_batch(svc, lines: "list[str]") -> "list[str]":
+    """Resolve ``lines`` as a single dispatcher batch."""
+    batch = [PendingRequest(protocol.decode_request(line)) for line in lines]
+    svc._process_batch(batch)
+    return [pending.response for pending in batch]
+
+
+class TestBatchedPeel:
+    """The dispatcher peels every database hit of a batch in one call."""
+
+    @staticmethod
+    def _config(max_list_size: int = 3) -> ServiceConfig:
+        return ServiceConfig(
+            n_wires=4, k=4, max_list_size=max_list_size, batch_window=0.0
+        )
+
+    def test_batch_answers_match_one_by_one(self, handle4):
+        words = _db_hit_words(handle4.database, seed=15)
+        lines = [
+            json.dumps({"id": i, "op": "synth", "word": f"{word:#x}"})
+            for i, word in enumerate(words)
+        ]
+        # A repeated word and a size query ride along.
+        lines.append(json.dumps({"id": 90, "op": "synth", "word": f"{words[1]:#x}"}))
+        lines.append(json.dumps({"id": 91, "op": "size", "word": f"{words[2]:#x}"}))
+        alone = SynthesisService(handle4, config=self._config())
+        alone.start()
+        try:
+            expected = [alone.handle_line(line) for line in lines]
+        finally:
+            alone.shutdown()
+        batched = SynthesisService(handle4, config=self._config())
+        peels = batched.metrics.histogram("peel_seconds")
+        before = peels.count
+        got = _run_one_batch(batched, lines)
+        assert peels.count == before + 1
+        assert got == expected
+        sources = [json.loads(line)["result"]["source"] for line in got]
+        assert sources == ["db"] * len(words) + ["cache", "cache"]
+
+    def test_inconsistent_entry_fails_only_its_request(self, handle4):
+        from repro.synth.database import OptimalDatabase
+        from repro.synth.search import MeetInTheMiddleSearch
+        from repro.synth.synthesizer import SynthesisHandle
+
+        db = handle4.database
+        words = _db_hit_words(db, seed=16)
+        # Claim size 1 for the class of words[1] (true size 3): no gate
+        # leads from it to the identity, so its peel cannot finish.
+        bad = db.canonical_key(words[1])
+        reps = [r.copy() for r in db.reps_by_size]
+        reps[3] = reps[3][reps[3] != bad]
+        reps[1] = np.sort(np.append(reps[1], np.uint64(bad)))
+        corrupt = OptimalDatabase.from_reps(4, 4, reps)
+        handle = SynthesisHandle(
+            n_wires=4, k=4, max_list_size=0, database=corrupt,
+            engine=MeetInTheMiddleSearch(corrupt, []),
+        )
+        lines = [
+            json.dumps({"id": i, "op": "synth", "word": f"{word:#x}"})
+            for i, word in enumerate(words)
+        ]
+        healthy = _run_one_batch(SynthesisService(handle4, config=self._config()), lines)
+        got = _run_one_batch(SynthesisService(handle, config=self._config(0)), lines)
+        error = json.loads(got[1])["error"]
+        assert "inconsistent" in error["message"]
+        assert f"{words[1]:#x}" in error["message"]
+        assert "size 1" in error["message"]
+        assert got[:1] + got[2:] == healthy[:1] + healthy[2:]
 
 # ----------------------------------------------------------------------
 # Worker pool

@@ -11,6 +11,7 @@ in CI.)
 from __future__ import annotations
 
 import json
+import random
 import socket
 import threading
 
@@ -278,6 +279,33 @@ class TestRouter:
             assert len(owners) > 1  # the batch really did scatter
         finally:
             single.shutdown()
+            router.shutdown()
+
+    def test_batch_routing_keys_match_scalar_canonical(self, handle4, monkeypatch):
+        """One vectorized canonicalization keys a whole batch; every
+        sub-request still goes to the owner of its scalar canonical key."""
+        router, _sup, _shards = make_cluster(handle4)
+        rng = random.Random(7)
+        specs = [rng.sample(range(16), 16) for _ in range(64)] + [SHIFT, IDENTITY]
+        routed = {}
+
+        def record(owner, items, slots, deadline):
+            for index, _sub, _perm, canon in items:
+                routed[index] = (owner, canon)
+                slots[index] = {"id": index, "ok": True, "result": {}}
+
+        monkeypatch.setattr(router, "_forward_slice", record)
+        try:
+            entries = [
+                {"id": i, "op": "size", "spec": spec} for i, spec in enumerate(specs)
+            ]
+            body = submit(router, "batch", requests=entries)
+            assert body["ok"]
+            for index, spec in enumerate(specs):
+                key = canonical(Permutation.coerce(spec, 4).word, 4)
+                assert routed[index] == (router.ring.owner(key), key)
+            assert len({owner for owner, _ in routed.values()}) == 3
+        finally:
             router.shutdown()
 
     def test_failover_is_exact_when_owner_dies(self, handle4):
