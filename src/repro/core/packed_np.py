@@ -102,12 +102,33 @@ def _conjugation_schedule(n_wires: int) -> list[int]:
     return sched
 
 
+def _delta_swap(words: U64Array, scratch: U64Array, low: np.uint64, shift: np.uint64) -> None:
+    """Swap, in place, each bit under ``low`` with the bit ``shift`` above it."""
+    np.right_shift(words, shift, out=scratch)
+    scratch ^= words
+    scratch &= low
+    words ^= scratch
+    # repro: allow[unmasked-op] scratch was just masked to `low`, whose bits shifted by `shift` stay inside the 64-bit word by construction
+    scratch <<= shift
+    words ^= scratch
+
+
 def _fold_conjugates_min(words: U64Array, n_wires: int, best: U64Array) -> None:
-    """Fold ``min`` over all conjugates of ``words`` into ``best`` in place."""
+    """Fold ``min`` over all conjugates of ``words`` into ``best`` in place.
+
+    Each step is :func:`conjugate_adjacent_np` done as two in-place delta
+    swaps (nibble positions, then value bits) on one working copy: fewer
+    numpy calls and temporaries than the masked form.
+    """
     np.minimum(best, words, out=best)
+    masks = _np_masks(n_wires)
     cur = words.copy()
+    scratch = np.empty_like(cur)
     for pair in _conjugation_schedule(n_wires):
-        cur = conjugate_adjacent_np(cur, pair, n_wires)
+        _keep, up, _down, shift = masks.index_masks[pair]
+        _delta_swap(cur, scratch, up, shift)
+        _keep, bit_lo, _bit_hi = masks.value_masks[pair]
+        _delta_swap(cur, scratch, bit_lo, _U(1))
         np.minimum(best, cur, out=best)
 
 
@@ -116,13 +137,15 @@ def canonical_np(words: npt.ArrayLike, n_wires: int) -> U64Array:
 
     The representative is the numerically smallest packed word among the
     up-to-48 equivalents (24 wire-relabeling conjugates of ``f`` and 24 of
-    ``f⁻¹``), exactly as in Section 3.2 of the paper.
+    ``f⁻¹``), exactly as in Section 3.2 of the paper.  ``f`` and ``f⁻¹``
+    are folded as one stacked array, which halves the numpy calls a small
+    batch pays for.
     """
     words = np.asarray(words, dtype=np.uint64)
-    best = words.copy()
-    _fold_conjugates_min(words, n_wires, best)
-    _fold_conjugates_min(inverse_np(words, n_wires), n_wires, best)
-    return best
+    both = np.stack([words, inverse_np(words, n_wires)])
+    best = both.copy()
+    _fold_conjugates_min(both, n_wires, best)
+    return np.minimum(best[0], best[1])
 
 
 def canonical_conjugation_only_np(
