@@ -82,7 +82,6 @@ def peel_minimal_circuits(
 def peel_minimal_circuit(word: int, db: OptimalDatabase) -> Circuit:
     """Minimal circuit for one function of size <= k: the one-word case
     of :func:`peel_minimal_circuits`."""
-    _check_permutation(word, db.n_wires)
     return peel_minimal_circuits([word], db)[0]
 
 
