@@ -37,7 +37,9 @@ from pathlib import Path
 K = int(os.environ.get("SMOKE_K", "5"))
 CACHE_DIR = Path(os.environ.get("REPRO_CACHE_DIR", ".db-cache"))
 THROUGHPUT_REQUESTS = 512
-TIMED_RUNS = 3
+#: Timed batches per cluster.  A warmed 512-request batch takes tens of
+#: milliseconds, so the median needs more than a handful of samples.
+TIMED_RUNS = 11
 
 #: Mixed batch: synth and size across easy and mid-depth specs, each a
 #: distinct equivalence class so a 3-ring genuinely scatters it.

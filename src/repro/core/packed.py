@@ -81,17 +81,24 @@ def pack(values: "list[int] | tuple[int, ...]") -> int:
     values must form a permutation of ``range(len(values))``.
     """
     size = len(values)
+    if size in (2, 4, 8, 16) and sorted(values) != list(range(size)):
+        raise InvalidPermutationError(
+            f"values are not a permutation of 0..{size - 1}: {values!r}"
+        )
+    return pack_nibbles(values)
+
+
+def pack_nibbles(values: "list[int] | tuple[int, ...]") -> int:
+    """:func:`pack` for a sequence already known to be a permutation:
+    only the length is checked."""
+    size = len(values)
     if size not in (2, 4, 8, 16):
         raise InvalidPermutationError(
             f"length must be 2, 4, 8 or 16 (a power of two), got {size}"
         )
-    if sorted(values) != list(range(size)):
-        raise InvalidPermutationError(
-            f"values are not a permutation of 0..{size - 1}: {values!r}"
-        )
     word = 0
-    for i, v in enumerate(values):
-        word |= v << (NIBBLE_BITS * i)
+    for v in reversed(values):
+        word = word << NIBBLE_BITS | v
     return word
 
 

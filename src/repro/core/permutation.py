@@ -44,14 +44,21 @@ class Permutation:
 
     @staticmethod
     def from_values(values: Iterable[int]) -> "Permutation":
-        """Build from an output sequence, e.g. ``[0, 2, 1, 3]``."""
+        """Build from an output sequence, e.g. ``[0, 2, 1, 3]``.
+
+        :func:`~repro.core.spec.spec_to_word` is the one validity check
+        on this path, so the word is not checked again.
+        """
         word, n_wires = spec_mod.spec_to_word(values)
-        return Permutation(word, n_wires)
+        perm = object.__new__(Permutation)
+        object.__setattr__(perm, "word", word)
+        object.__setattr__(perm, "n_wires", n_wires)
+        return perm
 
     @staticmethod
     def from_spec(text: str) -> "Permutation":
         """Build from the paper's bracketed spec string."""
-        return Permutation.from_values(spec_mod.parse_spec(text))
+        return Permutation.from_values(spec_mod.spec_values(text))
 
     @staticmethod
     def from_word(word: int, n_wires: int) -> "Permutation":

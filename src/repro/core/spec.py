@@ -9,7 +9,9 @@ truth tables, cycle notation, and the packed-word representation.
 from __future__ import annotations
 
 import re
-from typing import Iterable
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from repro.core import packed
 from repro.errors import InvalidPermutationError
@@ -25,10 +27,16 @@ def parse_spec(text: str) -> list[int]:
     >>> parse_spec("3 1 2 0")
     [3, 1, 2, 0]
     """
-    values = [int(m.group()) for m in _INT_RE.finditer(text)]
+    values = spec_values(text)
+    validate_spec(values)
+    return values
+
+
+def spec_values(text: str) -> list[int]:
+    """The integers of a spec string, in order, not yet validated."""
+    values = list(map(int, _INT_RE.findall(text)))
     if not values:
         raise InvalidPermutationError(f"no values found in spec: {text!r}")
-    validate_spec(values)
     return values
 
 
@@ -53,10 +61,40 @@ def format_spec(values: Iterable[int]) -> str:
 
 
 def spec_to_word(values: Iterable[int]) -> tuple[int, int]:
-    """Pack a spec; returns ``(word, n_wires)``."""
+    """Validate and pack a spec; returns ``(word, n_wires)``."""
     values = list(values)
     n_wires = validate_spec(values)
-    return packed.pack(values), n_wires
+    return packed.pack_nibbles(values), n_wires
+
+
+def spec_words(specs: "Sequence[object]", n_wires: int) -> np.ndarray:
+    """Packed ``uint64`` words for many specs in one numpy pass.
+
+    Covers strings in the compact form :func:`format_spec` writes, with
+    ``2**n_wires`` values.  Any other spec, and any string that does not
+    list a permutation, gets 0, which no permutation packs to: parse those
+    one by one, which words the error.
+    """
+    size = 1 << n_wires
+    words = np.zeros(len(specs), dtype=np.uint64)
+    compact = [
+        index for index, spec in enumerate(specs)
+        if isinstance(spec, str) and spec[:1] == "[" and spec[-1:] == "]"
+        and spec.count(",") == size - 1 and spec.isascii()
+        and spec[1:-1].replace(",", "").isdigit()
+    ]
+    if not compact:
+        return words
+    inner = ",".join([specs[index][1:-1] for index in compact])
+    try:
+        values = np.fromstring(inner, dtype=np.int64, sep=",").reshape(-1, size)
+    except ValueError:  # an empty value, as in "[1,,2,...]"
+        return words
+    valid = (np.sort(values, axis=1) == np.arange(size)).all(axis=1)
+    shifts = np.arange(size, dtype=np.uint64) * np.uint64(packed.NIBBLE_BITS)
+    rows = np.bitwise_or.reduce(values.astype(np.uint64) << shifts, axis=1)
+    words[np.asarray(compact)[valid]] = rows[valid]
+    return words
 
 
 def word_to_spec(word: int, n_wires: int) -> list[int]:

@@ -10,8 +10,8 @@ where the service's throughput under concurrent load comes from.
 
 The window only costs latency when traffic is concurrent enough to
 benefit: the very first request in an idle queue is dispatched after at
-most ``coalesce_window`` seconds, and a full batch dispatches
-immediately.
+most ``coalesce_window`` seconds, and a full batch or a group enqueued
+together (a ``batch`` op's entries) dispatches immediately.
 """
 
 from __future__ import annotations
@@ -75,6 +75,9 @@ class BatchQueue:
         self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
         self._closed = False
+        #: Set by a multi-item :meth:`put_many` until the queue empties:
+        #: a group is already a batch, so dequeues do not wait for more.
+        self._grouped = False
 
     @property
     def depth(self) -> int:
@@ -86,16 +89,23 @@ class BatchQueue:
 
     def put(self, item: PendingRequest) -> None:
         """Enqueue; raises :class:`ServiceShutdownError` once closed."""
+        self.put_many([item])
+
+    def put_many(self, items: "list[PendingRequest]") -> None:
+        """Enqueue ``items`` in order under one lock, so the dispatcher
+        sees all of them or none; raises :class:`ServiceShutdownError`
+        once closed or when they do not all fit."""
         with self._not_empty:
             if self._closed:
                 raise ServiceShutdownError(
                     "service is shutting down; request rejected"
                 )
-            if len(self._items) >= self.max_depth:
+            if len(self._items) + len(items) > self.max_depth:
                 raise ServiceShutdownError(
                     f"request queue is full ({self.max_depth} pending)"
                 )
-            self._items.append(item)
+            self._items.extend(items)
+            self._grouped = self._grouped or len(items) > 1
             self._not_empty.notify()
 
     def next_batch(self) -> "list[PendingRequest] | None":
@@ -113,15 +123,12 @@ class BatchQueue:
                 # survives a missed wakeup instead of parking forever.
                 self._not_empty.wait(timeout=0.5)
             # Something is pending.  Give concurrent producers a short
-            # window to pile on, unless we already have a full batch or
-            # are draining a closed queue (no new producers can arrive).
-            if (
-                not self._closed
-                and self.coalesce_window > 0
-                and len(self._items) < self.max_batch
-            ):
+            # window to pile on, unless we already have a full batch or a
+            # group, or are draining a closed queue (no new producers can
+            # arrive).
+            if not self._closed and self.coalesce_window > 0:
                 deadline = time.monotonic() + self.coalesce_window
-                while len(self._items) < self.max_batch:
+                while len(self._items) < self.max_batch and not self._grouped:
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
                         break
@@ -129,6 +136,7 @@ class BatchQueue:
             batch = []
             while self._items and len(batch) < self.max_batch:
                 batch.append(self._items.popleft())
+            self._grouped = self._grouped and bool(self._items)
             return batch
 
     def close(self) -> None:

@@ -3,15 +3,19 @@
 Architecture::
 
     TCP / stdio transports          (one thread per connection)
-        -> SynthesisService.submit  (parks a PendingRequest, blocks)
+        -> SynthesisService.submit  (parks a PendingRequest, blocks;
+                                     a ``batch`` op parks all of its
+                                     entries in one locked call)
             -> BatchQueue           (batch coalescing window)
                 -> dispatcher thread
                     -> vectorized lookup: canonical_np + lookup_batch
                        over the WHOLE batch (one numpy pass)
                     -> ResultCache keyed by canonical representative
-                    -> fast path: circuit peeling (size <= k), one
-                       lock-step peel for the batch's database hits
-                    -> hard path: HardQueryPool (A_i-list scans)
+                    -> fast path: circuit peeling (size <= k), lock-step
+                       peels of the batch's database hits, PEEL_CAP at
+                       a time
+                    -> hard path: HardQueryPool (A_i-list scans), one
+                       scan per class and batch
 
 Control ops (``ping``/``stats``/``health``/``shutdown``) are answered
 synchronously on the connection thread; only synthesis work is queued.
@@ -51,6 +55,7 @@ import numpy as np
 from repro import __version__
 from repro.core.circuit import Circuit
 from repro.core.permutation import Permutation
+from repro.core.spec import spec_words
 from repro.engines import (
     GUARANTEE_UPPER_BOUND,
     Engine,
@@ -301,13 +306,7 @@ class SynthesisService:
 
     def submit(self, request: "protocol.Request") -> str:
         """Execute one decoded request and return the response line."""
-        self.metrics.counter("requests_total").inc()
-        self.metrics.counter(f"requests_{request.op}").inc()
-        # The deadline starts at accept time, *before* any injected delay
-        # or queueing: everything the daemon spends counts against it.
-        deadline = Deadline.from_ms(request.deadline_ms)
-        if self.faults is not None:
-            self.faults.delay_request(request.op)
+        deadline = self._accept(request)
         if request.op == "ping":
             return protocol.encode_response(
                 request.id, result={"pong": True, "version": __version__}
@@ -339,17 +338,33 @@ class SynthesisService:
         self.metrics.counter(f"engine_requests_{engine_name}").inc()
         if engine_name != DEFAULT_ENGINE:
             return self._engine_submit(request, engine_name, deadline)
-        # Park on the queue and wait for the dispatcher.  The wait is
-        # bounded by ``request_timeout`` -- the server-side backstop that
-        # guarantees a connection thread can never hang forever even if
-        # the dispatcher wedges.
+        # Park on the queue and wait for the dispatcher.
         pending = PendingRequest(request, deadline=deadline)
         try:
             self.queue.put(pending)
         except ServiceShutdownError as exc:
             return self._error_response(request.id, exc)
         self.metrics.gauge("queue_depth").set(self.queue.depth)
-        response = pending.wait(self.resilience.request_timeout)
+        return self._await(pending, self.resilience.request_timeout)
+
+    def _accept(self, request: "protocol.Request") -> "Deadline | None":
+        """Count an accepted request and start its deadline.
+
+        The deadline starts at accept time, *before* any injected delay
+        or queueing: everything the daemon spends counts against it.
+        """
+        self.metrics.counter("requests_total").inc()
+        self.metrics.counter(f"requests_{request.op}").inc()
+        deadline = Deadline.from_ms(request.deadline_ms)
+        if self.faults is not None:
+            self.faults.delay_request(request.op)
+        return deadline
+
+    def _await(self, pending: PendingRequest, timeout: float) -> str:
+        """The dispatcher's response for ``pending``, waited for at most
+        ``timeout`` seconds -- the server-side backstop that guarantees a
+        connection thread never hangs even if the dispatcher wedges."""
+        response = pending.wait(timeout)
         if response is None:
             # The connection thread is abandoning the request -- preempt
             # any hard work still attached to it so the pool does not
@@ -358,7 +373,7 @@ class SynthesisService:
                 pending.work_item.cancel("abandoned")
             self.metrics.counter("responses_timeout").inc()
             return self._error_response(
-                request.id,
+                pending.request.id,
                 ServiceError(
                     "request was not resolved within "
                     f"{self.resilience.request_timeout}s"
@@ -367,30 +382,67 @@ class SynthesisService:
         return response
 
     def _batch_submit(self, request: "protocol.Request") -> str:
-        """Answer a ``batch`` op by executing its sub-requests in order.
+        """Answer a ``batch`` op; each entry yields a complete response
+        envelope (its own id/ok/error), so one bad spec never poisons the
+        batch.
 
-        A single daemon has no shards to scatter over, so sub-requests
-        run sequentially through the same entry point a standalone
-        request would take; each yields a complete response envelope
-        (its own id/ok/error), so one bad spec never poisons the batch.
-        A sharded router produces the same envelopes for the same
-        sub-requests (the shard-smoke CI job compares the two byte for
-        byte -- see ``docs/SHARDING.md``).
+        Every default-engine ``synth``/``size`` entry goes onto the queue
+        in one locked call, so the dispatcher answers them ``max_batch``
+        at a time, each round with one lookup pass and one peel call.
+        ``compile`` entries, named-engine entries and entries that fail
+        to decode take a standalone request's path on this thread
+        meanwhile.  One ``request_timeout`` bounds the wait for the
+        whole batch.
+
+        The envelopes are byte-identical to sending the entries one at a
+        time: a dispatcher round resolves its requests in order, and a
+        word asked again in one round gets the answer it would get a
+        round later.  A sharded router produces the same envelopes for
+        the same entries (the shard-smoke CI job compares the two byte
+        for byte -- see ``docs/SHARDING.md``).
         """
-        envelopes = []
-        for entry in request.options.get("requests", []):
+        entries = request.options.get("requests", [])
+        responses: "list[str | None]" = [None] * len(entries)
+        queued: "list[tuple[int, PendingRequest]]" = []
+        others: "list[tuple[int, protocol.Request]]" = []
+        for index, entry in enumerate(entries):
             try:
                 sub = protocol.decode_payload(entry)
             except ProtocolError as exc:
-                envelopes.append(json.loads(protocol.encode_response(
+                responses[index] = protocol.encode_response(
                     entry.get("id") if isinstance(entry, dict) else None,
                     error=protocol.error_envelope(exc),
-                )))
+                )
                 continue
-            envelopes.append(json.loads(self.submit(sub)))
+            if sub.op == "compile" or (sub.engine or DEFAULT_ENGINE) != DEFAULT_ENGINE:
+                others.append((index, sub))
+                continue
+            deadline = self._accept(sub)
+            self.metrics.counter(f"engine_requests_{DEFAULT_ENGINE}").inc()
+            queued.append((index, PendingRequest(sub, deadline=deadline)))
+        if queued:
+            try:
+                self.queue.put_many([pending for _, pending in queued])
+            except ServiceShutdownError as exc:
+                for index, pending in queued:
+                    responses[index] = self._error_response(
+                        pending.request.id, exc
+                    )
+                queued = []
+            self.metrics.gauge("queue_depth").set(self.queue.depth)
+        give_up = time.monotonic() + self.resilience.request_timeout
+        for index, sub in others:
+            responses[index] = self.submit(sub)
+        for index, pending in queued:
+            responses[index] = self._await(
+                pending, max(0.0, give_up - time.monotonic())
+            )
         return protocol.encode_response(
             request.id,
-            result={"count": len(envelopes), "results": envelopes},
+            result={
+                "count": len(responses),
+                "results": [json.loads(line) for line in responses],
+            },
         )
 
     # ------------------------------------------------------------------
@@ -747,24 +799,31 @@ class SynthesisService:
             batch = self.queue.next_batch()
             if batch is None:
                 return
-            started = time.perf_counter()
-            for pending in batch:
-                self.metrics.histogram("queue_wait_seconds").observe(
-                    started - pending.enqueued_at
-                )
-            self.metrics.histogram("batch_size").observe(len(batch))
-            self.metrics.gauge("queue_depth").set(self.queue.depth)
-            try:
-                self._process_batch(batch)
-            except Exception as exc:  # pragma: no cover - defensive
-                for pending in batch:
-                    if pending.response is None:
-                        pending.resolve(
-                            self._error_response(pending.request.id, exc)
-                        )
-            self.metrics.histogram("batch_seconds").observe(
-                time.perf_counter() - started
+            self._dispatch(batch)
+            # Blocking for the next round must not pin this one: up to
+            # max_batch requests and their response strings.
+            del batch
+
+    def _dispatch(self, batch: "list[PendingRequest]") -> None:
+        """Run one dispatcher round, with its metrics."""
+        started = time.perf_counter()
+        for pending in batch:
+            self.metrics.histogram("queue_wait_seconds").observe(
+                started - pending.enqueued_at
             )
+        self.metrics.histogram("batch_size").observe(len(batch))
+        self.metrics.gauge("queue_depth").set(self.queue.depth)
+        try:
+            self._process_batch(batch)
+        except Exception as exc:  # pragma: no cover - defensive
+            for pending in batch:
+                if pending.response is None:
+                    pending.resolve(
+                        self._error_response(pending.request.id, exc)
+                    )
+        self.metrics.histogram("batch_seconds").observe(
+            time.perf_counter() - started
+        )
 
     def _process_batch(self, batch: "list[PendingRequest]") -> None:
         """Resolve a coalesced batch through the vectorized path."""
@@ -772,12 +831,14 @@ class SynthesisService:
             self._process_batch_inner(batch)
 
     def _process_batch_inner(self, batch: "list[PendingRequest]") -> None:
-        db = self.handle.database
         n = self.handle.n_wires
         # Phase 1: parse specs; protocol/spec failures resolve immediately.
+        # Compact spec strings are parsed in one vectorized pass; the
+        # rest, and every invalid spec for its error, one by one.
         work: list[tuple[PendingRequest, int]] = []
         with trace_span("service.parse"):
-            for pending in batch:
+            fast = spec_words([p.request.spec_value() for p in batch], n)
+            for pending, word in zip(batch, fast.tolist()):
                 request = pending.request
                 if request.wires is not None and request.wires != n:
                     pending.resolve(self._error_response(
@@ -789,22 +850,35 @@ class SynthesisService:
                         ),
                     ))
                     continue
-                try:
-                    perm = Permutation.coerce(request.spec_value(), n)
-                except ReproError as exc:
-                    pending.resolve(self._error_response(request.id, exc))
-                    continue
-                except (TypeError, ValueError) as exc:
-                    pending.resolve(self._error_response(
-                        request.id,
-                        ProtocolError(
-                            f"unparseable spec: {exc}", kind="invalid_spec"
-                        ),
-                    ))
-                    continue
-                work.append((pending, perm.word))
-        if not work:
-            return
+                if not word:
+                    try:
+                        word = Permutation.coerce(request.spec_value(), n).word
+                    except ReproError as exc:
+                        pending.resolve(self._error_response(request.id, exc))
+                        continue
+                    except (TypeError, ValueError) as exc:
+                        pending.resolve(self._error_response(
+                            request.id,
+                            ProtocolError(
+                                f"unparseable spec: {exc}", kind="invalid_spec"
+                            ),
+                        ))
+                        continue
+                work.append((pending, word))
+        while work:
+            work = self._resolve_words(work)
+
+    def _resolve_words(
+        self, work: "list[tuple[PendingRequest, int]]"
+    ) -> "list[tuple[PendingRequest, int]]":
+        """Resolve parsed requests in order; return the ones deferred.
+
+        A hard request whose class an earlier request of this pass is
+        already scanning is deferred: once that scan is in the cache, the
+        next pass answers it as it would be answered one round later.
+        """
+        db = self.handle.database
+        n = self.handle.n_wires
         # Phase 2: one vectorized canonicalization + hash probe for the
         # whole batch (this is the point of coalescing).
         lookup_started = time.perf_counter()
@@ -819,6 +893,8 @@ class SynthesisService:
         # and the hard ones.
         to_peel: dict[int, tuple[int, int, list[PendingRequest]]] = {}
         hard: list[tuple[PendingRequest, int, int]] = []
+        scanning: set[int] = set()
+        deferred: list[tuple[PendingRequest, int]] = []
         for (pending, word), canon, size in zip(
             work, keys.tolist(), sizes.tolist()
         ):
@@ -858,14 +934,22 @@ class SynthesisService:
                     ),
                 ))
                 continue
+            if canon in scanning:
+                deferred.append((pending, word))
+                continue
+            scanning.add(canon)
             hard.append((pending, word, canon))
         self._peel_db_hits(to_peel)
-        # Phase 4: hard queries fan out to the worker pool -- unless the
-        # breaker is open or a request's deadline cannot fit a scan, in
-        # which case the request degrades to an upper-bound answer from
-        # the fallback engine (never an error, never a hung connection).
-        if not hard:
-            return
+        if hard:
+            self._solve_hard(hard)
+        return deferred
+
+    def _solve_hard(self, hard: "list[tuple[PendingRequest, int, int]]") -> None:
+        """Phase 4: hard queries fan out to the worker pool -- unless the
+        breaker is open or a request's deadline cannot fit a scan, in
+        which case the request degrades to an upper-bound answer from
+        the fallback engine (never an error, never a hung connection)."""
+        n = self.handle.n_wires
         if self.stopping:
             # Draining after shutdown: queued requests still get valid
             # answers, but no new multi-second scan starts.
@@ -1017,8 +1101,8 @@ class SynthesisService:
     def _peel_db_hits(
         self, to_peel: "dict[int, tuple[int, int, list[PendingRequest]]]"
     ) -> None:
-        """Answer the database hits that need a circuit with one lock-step
-        peel for the whole batch.
+        """Answer the database hits that need a circuit with one
+        :func:`peel_minimal_circuits` call for the whole batch.
 
         ``to_peel`` maps each word to its ``(canon, size, askers)``.  The
         first asker gets a ``db`` answer and later askers in the batch a

@@ -26,9 +26,10 @@ Request::
                    sub-requests under
                    ``requests``; the result is ``{"results": [...]}``
                    holding one complete response envelope per
-                   sub-request, in order.  A plain daemon answers them
-                   sequentially; a sharded router scatter/gathers the
-                   slices (see :mod:`repro.service.sharding`).
+                   sub-request, in order.  A plain daemon queues them
+                   together, byte-identical to sending them one by
+                   one; a sharded router scatter/gathers the slices
+                   (see :mod:`repro.service.sharding`).
 * ``shards``       -- routing-table + per-shard rollup (router only).
 * ``shard_join``   -- add a shard to the ring (router only).
 * ``shard_leave``  -- drain a shard and remove it (router only;

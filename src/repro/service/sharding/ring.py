@@ -34,7 +34,9 @@ from __future__ import annotations
 import hashlib
 import threading
 
-from repro.hashing.wang import MASK64, hash64shift
+import numpy as np
+
+from repro.hashing.wang import MASK64, hash64shift, hash64shift_np
 
 #: Odd multiplicative constant (2^64 / golden ratio) spreading the key
 #: before the Wang finalizer; keys are canonical representatives, which
@@ -123,6 +125,22 @@ class HashRing:
                     best, best_score = member, score
             return best
 
+    def owners(self, keys) -> "list[str | None]":
+        """``[owner(key) for key in keys]`` in one vectorized pass: each
+        member's scores for the whole batch are one ``hash64shift_np``
+        call, and ties go to the smallest id as in :meth:`owner`."""
+        keys = np.asarray(keys, dtype=np.uint64).reshape(-1)
+        with self._lock:
+            members = sorted(self._seeds.items())
+        if not members:
+            return [None] * keys.shape[0]
+        spread = keys * np.uint64(_SPREAD)
+        scores = np.stack([
+            hash64shift_np(spread ^ np.uint64(seed)) for _, seed in members
+        ])
+        names = [member for member, _ in members]
+        return [names[index] for index in scores.argmax(axis=0).tolist()]
+
     def preference(self, key: int) -> "list[str]":
         """All members ranked by descending score: the failover order."""
         with self._lock:
@@ -136,8 +154,7 @@ class HashRing:
     def spread(self, keys) -> "dict[str, int]":
         """How many of ``keys`` each member owns (balance diagnostics)."""
         counts: "dict[str, int]" = {member: 0 for member in self.members}
-        for key in keys:
-            owner = self.owner(int(key))
+        for owner in self.owners(list(keys)):
             if owner is not None:
                 counts[owner] += 1
         return counts

@@ -45,6 +45,7 @@ from repro import __version__
 from repro.core.equivalence import canonical
 from repro.core.packed_np import canonical_np
 from repro.core.permutation import Permutation
+from repro.core.spec import spec_words
 from repro.engines import GUARANTEE_UPPER_BOUND, SynthesisRequest, create_engine
 from repro.errors import (
     ProtocolError,
@@ -382,48 +383,61 @@ class ShardRouter:
     ) -> str:
         entries = request.options.get("requests", [])
         slots: "list[dict | None]" = [None] * len(entries)
-        routed: list = []  # (index, sub_request, perm)
+        subs: list = []  # (index, sub_request)
         for index, entry in enumerate(entries):
             try:
                 sub = protocol.decode_payload(entry)
-                if sub.wires is not None and sub.wires != self.n_wires:
-                    raise ProtocolError(
-                        f"this daemon serves n_wires={self.n_wires}, "
-                        f"got wires={sub.wires}",
-                        kind="invalid_spec",
-                    )
-                perm = self._routing_perm(sub)
-            except ReproError as exc:
+            except ProtocolError as exc:
                 slots[index] = self._error_envelope_for(entry, exc)
                 continue
-            except (TypeError, ValueError) as exc:
-                slots[index] = self._error_envelope_for(
-                    entry,
-                    ProtocolError(
-                        f"unparseable spec: {exc}", kind="invalid_spec"
-                    ),
-                )
+            if sub.wires is not None and sub.wires != self.n_wires:
+                slots[index] = self._error_envelope_for(entry, ProtocolError(
+                    f"this daemon serves n_wires={self.n_wires}, "
+                    f"got wires={sub.wires}",
+                    kind="invalid_spec",
+                ))
                 continue
-            routed.append((index, sub, perm))
-        # One vectorized canonicalization keys the whole batch.
-        words = np.array([perm.word for _, _, perm in routed], dtype=np.uint64)
-        parsed = [  # (index, sub_request, perm, canon)
-            (*item, canon)
-            for item, canon in zip(routed, canonical_np(words, self.n_wires).tolist())
+            subs.append((index, sub))
+        # Compact spec strings are parsed in one vectorized pass; every
+        # other entry, and every invalid spec for its error, one by one.
+        fast = spec_words([sub.spec_value() for _, sub in subs], self.n_wires)
+        routed: list = []  # (index, sub_request, word)
+        for (index, sub), word in zip(subs, fast.tolist()):
+            if not word:
+                try:
+                    word = self._routing_perm(sub).word
+                except ReproError as exc:
+                    slots[index] = self._error_envelope_for(entries[index], exc)
+                    continue
+                except (TypeError, ValueError) as exc:
+                    slots[index] = self._error_envelope_for(
+                        entries[index],
+                        ProtocolError(
+                            f"unparseable spec: {exc}", kind="invalid_spec"
+                        ),
+                    )
+                    continue
+            routed.append((index, sub, word))
+        # One vectorized canonicalization and one ring pass key the
+        # whole batch.
+        words = np.array([word for _, _, word in routed], dtype=np.uint64)
+        canons = canonical_np(words, self.n_wires)
+        parsed = [  # (index, sub_request, word, canon)
+            (*item, canon) for item, canon in zip(routed, canons.tolist())
         ]
         groups: "dict[str | None, list]" = {}
-        for item in parsed:
-            groups.setdefault(self.ring.owner(item[3]), []).append(item)
+        for item, owner in zip(parsed, self.ring.owners(canons)):
+            groups.setdefault(owner, []).append(item)
 
         def run_slice(owner, items) -> None:
             try:
                 self._forward_slice(owner, items, slots, deadline)
             except Exception:  # defensive: never poison the batch
-                for index, sub, perm, _canon in items:
+                for index, sub, _word, _canon in items:
                     if slots[index] is None:
-                        slots[index] = json.loads(
-                            self._degraded_response(sub, perm, "router_error")
-                        )
+                        slots[index] = json.loads(self._degraded_response(
+                            sub, self._routing_perm(sub), "router_error"
+                        ))
 
         if len(groups) > 1:
             # Scatter: one thread per slice, gathered with a bound that
@@ -449,11 +463,11 @@ class ShardRouter:
         elif groups:
             owner, items = next(iter(groups.items()))
             run_slice(owner, items)
-        for index, sub, perm, _canon in parsed:
+        for index, sub, _word, _canon in parsed:
             if slots[index] is None:  # pragma: no cover - wedged peer
-                slots[index] = json.loads(
-                    self._degraded_response(sub, perm, "router_timeout")
-                )
+                slots[index] = json.loads(self._degraded_response(
+                    sub, self._routing_perm(sub), "router_timeout"
+                ))
         return protocol.encode_response(
             request.id, result={"count": len(slots), "results": slots}
         )
@@ -484,7 +498,7 @@ class ShardRouter:
                 "op": "batch",
                 "requests": [
                     self._forward_payload(sub, deadline)
-                    for _index, sub, _perm, _canon in items
+                    for _index, sub, _word, _canon in items
                 ],
             }
             managed.begin_request(work.token)
@@ -501,7 +515,7 @@ class ShardRouter:
         if envelope is not None and envelope.get("ok"):
             results = (envelope.get("result") or {}).get("results") or []
             if len(results) == len(items):
-                for (index, _sub, _perm, _canon), sub_env in zip(
+                for (index, _sub, _word, _canon), sub_env in zip(
                     items, results
                 ):
                     slots[index] = sub_env
@@ -518,10 +532,10 @@ class ShardRouter:
         elif not work.finished:
             work.degrade()
         self.metrics.counter("slices_rerouted").inc()
-        for index, sub, perm, canon in items:
-            slots[index] = json.loads(
-                self._route_work(sub, perm, deadline, canon=canon)
-            )
+        for index, sub, _word, canon in items:
+            slots[index] = json.loads(self._route_work(
+                sub, self._routing_perm(sub), deadline, canon=canon
+            ))
 
     # ------------------------------------------------------------------
     # Shard membership ops

@@ -120,9 +120,11 @@ class ProcessShard:
     (re)start pick a fresh ephemeral port, so a restarted shard never
     races a half-dead predecessor for its listener.
 
-    Connections are pooled per thread and per *generation*: a restart
-    bumps the generation, so every pooled connection to the dead
-    process is discarded instead of feeding requests to a ghost.
+    Idle connections are pooled per shard and tagged with the process
+    *generation*: any thread reuses one (the router's scatter threads
+    live for one batch), and a restart bumps the generation, so every
+    pooled connection to the dead process is discarded instead of
+    feeding requests to a ghost.
     """
 
     restartable = True
@@ -145,7 +147,8 @@ class ProcessShard:
         self.port: "int | None" = None
         self.generation = 0
         self._proc: "subprocess.Popen | None" = None
-        self._local = threading.local()
+        self._idle: "list[tuple[int, ServiceClient]]" = []
+        self._idle_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Process lifecycle
@@ -223,6 +226,10 @@ class ProcessShard:
 
     def stop(self, timeout: float = 10.0) -> None:
         """Graceful: ask the daemon to drain, then wait; kill stragglers."""
+        with self._idle_lock:
+            idle, self._idle = self._idle, []
+        for _generation, client in idle:
+            client.close()
         if self._proc is None:
             return
         if self._proc.poll() is None:
@@ -244,27 +251,38 @@ class ProcessShard:
     # ------------------------------------------------------------------
     # Requests
     # ------------------------------------------------------------------
-    def _client(self) -> ServiceClient:
-        entry = getattr(self._local, "entry", None)
-        if entry is not None and entry[0] == self.generation:
-            return entry[1]
-        if entry is not None:
-            entry[1].close()
-        client = ServiceClient(
-            self.host, self.port, connect_timeout=self.connect_timeout
-        )
-        self._local.entry = (self.generation, client)
-        return client
-
     def call(self, payload: dict, timeout: "float | None" = None) -> dict:
         if self.port is None:
             raise ServiceConnectError(
                 f"shard {self.shard_id} was never started"
             )
-        client = self._client()
-        if timeout is not None:
-            client.set_read_timeout(timeout)
-        return client.request_raw(payload)
+        generation, client = self._checkout()
+        try:
+            if timeout is not None:
+                client.set_read_timeout(timeout)
+            envelope = client.request_raw(payload)
+        except BaseException:
+            client.close()
+            raise
+        with self._idle_lock:
+            if generation == self.generation:
+                self._idle.append((generation, client))
+                return envelope
+        client.close()
+        return envelope
+
+    def _checkout(self) -> "tuple[int, ServiceClient]":
+        """An idle connection to the current process, or a new one."""
+        with self._idle_lock:
+            while self._idle:
+                generation, client = self._idle.pop()
+                if generation == self.generation:
+                    return generation, client
+                client.close()
+            generation = self.generation
+        return generation, ServiceClient(
+            self.host, self.port, connect_timeout=self.connect_timeout
+        )
 
     def describe(self) -> dict:
         alive = self.alive()

@@ -33,6 +33,16 @@ from repro.synth.bfs import nct_steps, packed_compose, peel
 from repro.synth.database import OptimalDatabase
 
 
+#: Most words one lock-step :func:`peel` call takes.  Each peel round
+#: sizes the ``32 * w`` remainders of its ``w`` live words with one table
+#: lookup, whose probe loop narrows its pending set step by step and so
+#: allocates arrays of nearly every size below that.  numpy keeps up to
+#: 7 freed buffers of each size under 1 KiB for reuse, up to about 3.5 MB
+#: per process; a small cap keeps most of those sizes from occurring.
+#: A smaller cap costs more calls (see docs/SERVICE.md for the trade).
+PEEL_CAP = 8
+
+
 def _not_a_permutation(word: int, n_wires: int) -> SynthesisError:
     return SynthesisError(
         f"{word:#x} is not a permutation of 0..2^n-1 = "
@@ -55,9 +65,10 @@ def peel_minimal_circuits(
 ) -> list[Circuit]:
     """Minimal circuits for functions of size <= k, by gate peeling.
 
-    All words are peeled together in lock-step (:func:`repro.synth.bfs.peel`):
-    one vectorized canonicalization and probe per round for the whole
-    batch.  Each circuit is the one the word gets when peeled alone.
+    Words are peeled together in lock-step (:func:`repro.synth.bfs.peel`),
+    :data:`PEEL_CAP` at a time: one vectorized canonicalization and
+    probe per round for each chunk.  Each circuit is the one the word
+    gets when peeled alone.
     ``sizes`` spares that lookup for callers that already made it.
     Raises :class:`SynthesisError` for a word that is not a permutation
     and :class:`SizeLimitExceededError` when a function is not in the
@@ -74,9 +85,14 @@ def peel_minimal_circuits(
             f"function of size > {db.k} cannot be peeled directly",
             lower_bound=db.k + 1,
         )
-    with trace("search.peel", size=int(sizes.max(initial=0)), words=len(words)):
-        gate_lists = peel(words, sizes, nct_steps(n), db.sizes_batch, packed_compose(n))
-        return [Circuit(gates=tuple(gates), n_wires=n) for gates in gate_lists]
+    steps, compose = nct_steps(n), packed_compose(n)
+    circuits = []
+    for start in range(0, len(words), PEEL_CAP):
+        chunk = slice(start, start + PEEL_CAP)
+        with trace("search.peel", size=int(sizes[chunk].max()), words=len(words[chunk])):
+            gate_lists = peel(words[chunk], sizes[chunk], steps, db.sizes_batch, compose)
+        circuits += [Circuit(gates=tuple(gates), n_wires=n) for gates in gate_lists]
+    return circuits
 
 
 def peel_minimal_circuit(word: int, db: OptimalDatabase) -> Circuit:

@@ -43,6 +43,56 @@ class TestConstruction:
             assert sorted(perm.values) == list(range(16))
 
 
+#: Bad specs from across the suite, with the exact error each raises.
+BAD_SPECS = [
+    ("[]", "no values found in spec: '[]'"),
+    ("[broken", "no values found in spec: '[broken'"),
+    ("[nope", "no values found in spec: '[nope'"),
+    ("not a spec at all []", "no values found in spec: 'not a spec at all []'"),
+    ("[0,1,2]", "spec length must be a power of two >= 2, got 3"),
+    ("[0,0,1]", "spec length must be a power of two >= 2, got 3"),
+    ("[1,2,3]", "spec length must be a power of two >= 2, got 3"),
+    ("[0]", "spec length must be a power of two >= 2, got 1"),
+    ("[0,1,2,3,4]", "spec length must be a power of two >= 2, got 5"),
+    ("[0,0,1,2]", "spec is not a permutation of 0..3: [0, 0, 1, 2]"),
+    ("[-1,0]", "spec is not a permutation of 0..1: [-1, 0]"),
+    ("[0,1,2,16]", "spec is not a permutation of 0..3: [0, 1, 2, 16]"),
+    (
+        str(list(range(1, 17))),
+        f"spec is not a permutation of 0..15: {list(range(1, 17))!r}",
+    ),
+    (str(list(range(32))), "length must be 2, 4, 8 or 16 (a power of two), got 32"),
+]
+
+
+class TestSpecValidation:
+    @pytest.mark.parametrize("text, message", BAD_SPECS)
+    def test_bad_spec_errors_are_unchanged(self, text, message):
+        with pytest.raises(InvalidPermutationError) as excinfo:
+            Permutation.from_spec(text)
+        assert str(excinfo.value) == message
+        with pytest.raises(InvalidPermutationError) as excinfo:
+            Permutation.coerce(text, 4)
+        assert str(excinfo.value) == message
+
+    def test_spec_is_checked_once(self, monkeypatch):
+        from repro.core import packed
+        from repro.core import spec as spec_mod
+
+        calls = []
+        for module, name in (
+            (spec_mod, "validate_spec"), (packed, "is_valid"), (packed, "pack"),
+        ):
+            real = getattr(module, name)
+            monkeypatch.setattr(
+                module, name,
+                lambda *args, _real=real, _name=name: calls.append(_name) or _real(*args),
+            )
+        perm = Permutation.from_spec("[1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,0]")
+        assert calls == ["validate_spec"]
+        assert perm == Permutation(perm.word, 4)
+
+
 class TestAlgebra:
     @given(perms4)
     def test_inverse(self, perm):

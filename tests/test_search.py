@@ -109,6 +109,29 @@ class TestLockStepPeel:
             assert circuit.to_word() == word
             assert circuit == peel_minimal_circuit(word, db4_k5)
 
+    def test_calls_stay_under_the_cap(self, db4_k5, monkeypatch):
+        from repro.synth import bfs, search
+
+        rng = random.Random(16)
+        words = [
+            _random_member(word, 4, rng)
+            for reps in db4_k5.reps_by_size
+            for word in rng.sample(reps.tolist(), min(12, len(reps)))
+        ]
+        monkeypatch.setattr(search, "PEEL_CAP", len(words))
+        uncapped = peel_minimal_circuits(words, db4_k5)
+        monkeypatch.undo()
+        widths = []
+
+        def counting_peel(chunk, *args):
+            widths.append(len(chunk))
+            return bfs.peel(chunk, *args)
+
+        monkeypatch.setattr(search, "peel", counting_peel)
+        assert peel_minimal_circuits(words, db4_k5) == uncapped
+        assert max(widths) == search.PEEL_CAP < len(words)
+        assert len(widths) == -(-len(words) // search.PEEL_CAP)
+
     def test_empty_batch(self, db4_k4):
         assert peel_minimal_circuits([], db4_k4) == []
 

@@ -314,6 +314,25 @@ class TestBatchQueue:
         with pytest.raises(ServiceShutdownError, match="full"):
             queue.put(PendingRequest(1))
 
+    def test_put_many_is_all_or_nothing(self):
+        queue = BatchQueue(max_depth=3)
+        queue.put(PendingRequest(0))
+        with pytest.raises(ServiceShutdownError, match="full"):
+            queue.put_many([PendingRequest(1), PendingRequest(2), PendingRequest(3)])
+        assert queue.depth == 1
+
+    def test_group_dispatches_without_the_window(self):
+        queue = BatchQueue(max_batch=4, coalesce_window=0.5)
+        queue.put_many([PendingRequest(i) for i in range(6)])
+        started = time.monotonic()
+        assert [p.request for p in queue.next_batch()] == [0, 1, 2, 3]
+        assert [p.request for p in queue.next_batch()] == [4, 5]
+        assert time.monotonic() - started < 0.4
+        queue.put(PendingRequest(6))  # a single waits for company again
+        started = time.monotonic()
+        assert len(queue.next_batch()) == 1
+        assert time.monotonic() - started >= 0.45
+
     def test_drains_after_close_then_none(self):
         queue = BatchQueue(max_batch=2, coalesce_window=0.05)
         for i in range(3):
@@ -555,6 +574,146 @@ class TestBatchedPeel:
         assert f"{words[1]:#x}" in error["message"]
         assert "size 1" in error["message"]
         assert got[:1] + got[2:] == healthy[:1] + healthy[2:]
+
+class TestBatchOp:
+    """A ``batch`` op enqueues its default-engine entries in one call."""
+
+    @staticmethod
+    def _service(**config) -> ServiceConfig:
+        config.setdefault("batch_window", 0.0)
+        return ServiceConfig(n_wires=4, k=4, max_list_size=3, **config)
+
+    def test_mixed_batch_matches_one_by_one_in_one_round(self, handle4):
+        from repro.core import packed
+
+        words = _db_hit_words(handle4.database, seed=16)
+        other = packed.conjugate_by_wire_perm(words[4], (1, 0, 2, 3), 4)
+        assert other != words[4]
+        assert handle4.database.canonical_key(other) == (
+            handle4.database.canonical_key(words[4])
+        )
+        hexes = [f"{word:#x}" for word in words]
+        entries = [
+            {"op": "synth", "word": hexes[0]},  # cold database hits
+            {"op": "synth", "word": hexes[3]},
+            {"op": "synth", "word": hexes[0]},  # repeated word
+            {"op": "size", "word": hexes[1]},  # size, then synth
+            {"op": "synth", "word": hexes[1]},
+            {"op": "synth", "word": hexes[2]},  # synth, then size
+            {"op": "size", "word": hexes[2]},
+            {"op": "synth", "word": hexes[4]},  # two members of a class
+            {"op": "synth", "word": f"{other:#x}"},
+            {"op": "synth", "spec": "[0,0,1,2]"},  # invalid
+            {"op": "compile", "spec": {
+                "kind": "truth_table", "n_inputs": 4,
+                "rows": [0, 0, 0, 0, 0, 0, 0, 0, 1, 1, None, 1, 1, None, 1, 1],
+            }},
+            {"op": "synth", "spec": SHIFT, "engine": "heuristic"},
+            {"op": "synth", "spec": OUT_OF_REACH},  # repeated, out of reach
+            {"op": "size", "spec": HARD_SPECS[2]},  # repeated size 6
+            {"op": "synth", "spec": HARD_SPECS[2]},
+            {"op": "synth", "spec": OUT_OF_REACH},
+            {"op": "synth", "spec": HARD_SPECS[2]},
+        ]
+        for index, entry in enumerate(entries):
+            entry["id"] = index
+        alone = SynthesisService(handle4, config=self._service())
+        alone.start()
+        try:
+            expected = [alone.handle_line(json.dumps(entry)) for entry in entries]
+        finally:
+            alone.shutdown()
+        batched = SynthesisService(handle4, config=self._service())
+        batched.start()
+        try:
+            got = batched.handle_line(
+                json.dumps({"id": "b", "op": "batch", "requests": entries})
+            )
+            rounds = batched.metrics.histogram("batch_size").snapshot()
+        finally:
+            batched.shutdown()
+        assert got == protocol.encode_response("b", result={
+            "count": len(entries),
+            "results": [json.loads(line) for line in expected],
+        })
+        assert rounds["count"] == 1 and rounds["max"] == len(entries) - 2
+        bodies = [json.loads(line) for line in expected]
+        assert [body["result"]["source"] for body in bodies if body["ok"]] == [
+            "db", "db", "cache", "db", "db", "db", "cache", "db", "db",
+            "engine", "engine", "scan", "cache", "cache",
+        ]
+        proofs = [body["error"]["message"] for body in bodies[12::3]]
+        assert "(proven by exhausted search)" in proofs[0]
+        assert "(cached proof)" in proofs[1]
+
+    def test_rounds_are_max_batch_wide(self, handle4):
+        svc = SynthesisService(handle4, config=self._service(max_batch=4))
+        svc.start()
+        try:
+            body = submit(svc, "batch", requests=[
+                {"id": i, "op": "size", "spec": SHIFT} for i in range(10)
+            ])
+            rounds = svc.metrics.histogram("batch_size").snapshot()
+        finally:
+            svc.shutdown()
+        assert body["result"]["count"] == 10
+        assert rounds["count"] == 3  # ceil(10 / 4)
+        assert rounds["sum"] == 10
+
+    def test_one_timeout_bounds_the_batch_and_cancels_abandoned_work(
+        self, handle4
+    ):
+        # Never started: no dispatcher ever answers the queued entries.
+        svc = SynthesisService(handle4, config=self._service(
+            extra={"resilience": {"request_timeout": 0.5}},
+        ))
+        line = json.dumps({"id": 1, "op": "batch", "requests": [
+            {"id": i, "op": "synth", "spec": HARD_SPECS[i]} for i in range(3)
+        ]})
+        answer: list = []
+        worker = threading.Thread(target=lambda: answer.append(svc.handle_line(line)))
+        started = time.monotonic()
+        worker.start()
+        while svc.queue.depth < 3:
+            time.sleep(0.001)
+        items = []
+        for pending in list(svc.queue._items):
+            pending.work_item = svc.tasks.create("scan", payload=0)
+            items.append(pending.work_item)
+        worker.join(timeout=10)
+        elapsed = time.monotonic() - started
+        svc.shutdown()
+        results = json.loads(answer[0])["result"]["results"]
+        assert [env["id"] for env in results] == [0, 1, 2]
+        assert all("not resolved within 0.5s" in env["error"]["message"] for env in results)
+        assert elapsed < 1.2  # one shared timeout, not one per entry
+        assert all(item.token.reason == "abandoned" for item in items)
+
+    def test_idle_dispatcher_holds_no_request(self, handle4):
+        import gc
+        import weakref
+
+        class Tracked(PendingRequest):
+            """A PendingRequest that can be weakly referenced."""
+
+        svc = SynthesisService(handle4, config=self._service())
+        svc.start()
+        try:
+            pending = Tracked(protocol.decode_request(
+                json.dumps({"id": 1, "op": "synth", "spec": SHIFT})
+            ))
+            svc.queue.put(pending)
+            assert pending.wait(10) is not None
+            ref = weakref.ref(pending)
+            del pending
+            deadline = time.monotonic() + 5
+            while ref() is not None and time.monotonic() < deadline:
+                gc.collect()
+                time.sleep(0.01)
+            assert ref() is None
+        finally:
+            svc.shutdown()
+
 
 # ----------------------------------------------------------------------
 # Worker pool

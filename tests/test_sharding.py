@@ -152,6 +152,53 @@ class TestHashRing:
         assert ring.owner(42) is None
         assert ring.preference(42) == []
         assert len(ring) == 0
+        assert ring.owners([1, 2]) == [None, None]
+
+    def test_owners_matches_owner(self):
+        rng = random.Random(16)
+        keys = [rng.getrandbits(64) for _ in range(2_000)] + [0, (1 << 64) - 1]
+        ring = HashRing()
+        for count in range(1, 6):
+            ring.add(f"s{count}")
+            assert ring.owners(keys) == [ring.owner(k) for k in keys]
+        ring.remove("s2")
+        ring.remove("s5")
+        assert ring.owners(keys) == [ring.owner(k) for k in keys]
+        assert ring.owners(keys[:0]) == []
+
+    def test_owners_breaks_ties_like_owner(self):
+        ring = HashRing(["b", "a", "c"])
+        ring._seeds["c"] = ring._seeds["a"]  # every key ties a with c
+        keys = list(range(500))
+        assert ring.owners(keys) == [ring.owner(k) for k in keys]
+        assert "c" not in ring.owners(keys)
+
+
+class TestProcessShardConnections:
+    def test_threads_share_pooled_connections_of_one_generation(self, handle4):
+        from repro.service import TCPDaemon
+        from repro.service.sharding import ProcessShard
+
+        with TCPDaemon(make_service(handle4), port=0) as daemon:
+            shard = ProcessShard("shard-0", ["unused"])
+            shard.host, shard.port = daemon.address
+            shard.generation = 1
+            ping = {"id": 1, "op": "ping"}
+            assert shard.call(ping)["ok"]
+            [(_, first)] = shard._idle
+            # Another thread (a later batch's scatter thread) reuses it.
+            worker = threading.Thread(target=shard.call, args=(ping,))
+            worker.start()
+            worker.join(timeout=10)
+            assert not worker.is_alive()
+            assert shard._idle == [(1, first)]
+            # A restart's new generation never reuses the old process's.
+            shard.generation = 2
+            assert shard.call(ping)["ok"]
+            [(generation, second)] = shard._idle
+            assert generation == 2 and second is not first
+            shard.stop()  # never started: only drops the pooled connection
+            assert shard._idle == []
 
 
 # ----------------------------------------------------------------------

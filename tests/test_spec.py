@@ -46,6 +46,39 @@ class TestWordConversion:
         assert spec_mod.word_to_spec(word, 3) == list(values)
 
 
+class TestSpecWords:
+    """The vectorized parse agrees with the scalar one, or defers to it."""
+
+    def test_matches_scalar_parse(self):
+        import random
+
+        from repro.core.permutation import Permutation
+
+        rng = random.Random(16)
+        specs = []
+        for _ in range(200):
+            values = list(range(16))
+            rng.shuffle(values)
+            specs.append(spec_mod.format_spec(values))
+        specs += [
+            "[0,0,1,2,3,4,5,6,7,8,9,10,11,12,13,14]",  # repeated value
+            "[1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16]",  # out of range
+            "[" + ",".join(["99999999999999999999"] * 16) + "]",
+            "[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15]",
+            "[0,1,2,3,4,5,6,7]",  # another width
+            "[]", "[broken", [1, 0, 2, 3], 7, None,
+        ]
+        words = spec_mod.spec_words(specs, 4).tolist()
+        for spec, word in zip(specs[:200], words):
+            assert word == Permutation.coerce(spec, 4).word
+        assert words[200:] == [0] * (len(specs) - 200)
+
+    def test_an_empty_value_defers_the_whole_call(self):
+        specs = [spec_mod.format_spec(range(16)), "[1,,2,3,4,5,6,7,8,9,10,11,12,13,14,15]"]
+        assert spec_mod.spec_words(specs, 4).tolist() == [0, 0]
+        assert spec_mod.spec_words([], 4).tolist() == []
+
+
 class TestCycles:
     def test_identity_has_no_cycles(self):
         assert spec_mod.cycles(list(range(16))) == []
