@@ -97,8 +97,8 @@ def pack_nibbles(values: "list[int] | tuple[int, ...]") -> int:
             f"length must be 2, 4, 8 or 16 (a power of two), got {size}"
         )
     word = 0
-    for v in reversed(values):
-        word = word << NIBBLE_BITS | v
+    for i, v in enumerate(values):
+        word |= v << (NIBBLE_BITS * i)
     return word
 
 

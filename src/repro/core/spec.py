@@ -73,7 +73,8 @@ def spec_words(specs: "Sequence[object]", n_wires: int) -> np.ndarray:
     Covers strings in the compact form :func:`format_spec` writes, with
     ``2**n_wires`` values.  Any other spec, and any string that does not
     list a permutation, gets 0, which no permutation packs to: parse those
-    one by one, which words the error.
+    one by one, which words the error.  Should numpy read other than
+    ``2**n_wires`` values per compact spec, every word is 0.
     """
     size = 1 << n_wires
     words = np.zeros(len(specs), dtype=np.uint64)
@@ -82,14 +83,18 @@ def spec_words(specs: "Sequence[object]", n_wires: int) -> np.ndarray:
         if isinstance(spec, str) and spec[:1] == "[" and spec[-1:] == "]"
         and spec.count(",") == size - 1 and spec.isascii()
         and spec[1:-1].replace(",", "").isdigit()
+        and spec[1] != "," and spec[-2] != "," and ",," not in spec
     ]
     if not compact:
         return words
     inner = ",".join([specs[index][1:-1] for index in compact])
     try:
-        values = np.fromstring(inner, dtype=np.int64, sep=",").reshape(-1, size)
-    except ValueError:  # an empty value, as in "[1,,2,...]"
+        values = np.fromstring(inner, dtype=np.int64, sep=",")
+    except ValueError:
         return words
+    if values.size != len(compact) * size:
+        return words
+    values = values.reshape(-1, size)
     valid = (np.sort(values, axis=1) == np.arange(size)).all(axis=1)
     shifts = np.arange(size, dtype=np.uint64) * np.uint64(packed.NIBBLE_BITS)
     rows = np.bitwise_or.reduce(values.astype(np.uint64) << shifts, axis=1)

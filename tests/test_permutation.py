@@ -75,6 +75,12 @@ class TestSpecValidation:
             Permutation.coerce(text, 4)
         assert str(excinfo.value) == message
 
+    def test_float_list_error_is_unchanged(self):
+        values = [1.0, 0.0] + [float(v) for v in range(2, 16)]
+        with pytest.raises(TypeError) as excinfo:
+            Permutation.coerce(values, 4)
+        assert str(excinfo.value) == "unsupported operand type(s) for <<: 'float' and 'int'"
+
     def test_spec_is_checked_once(self, monkeypatch):
         from repro.core import packed
         from repro.core import spec as spec_mod

@@ -689,6 +689,37 @@ class TestBatchOp:
         assert elapsed < 1.2  # one shared timeout, not one per entry
         assert all(item.token.reason == "abandoned" for item in items)
 
+    def test_malformed_specs_fail_only_their_own_envelope(self, handle4):
+        entries = [
+            {"op": "synth", "spec": SHIFT},
+            {"op": "synth", "spec": "[,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15]"},
+            {"op": "size", "spec": "[0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,]"},
+            {"op": "synth", "spec": [1.0, 0.0] + [float(v) for v in range(2, 16)]},
+            {"op": "size", "spec": HARD_SPECS[0]},
+        ]
+        for index, entry in enumerate(entries):
+            entry["id"] = index
+        alone = SynthesisService(handle4, config=self._service())
+        alone.start()
+        try:
+            expected = [json.loads(alone.handle_line(json.dumps(e))) for e in entries]
+        finally:
+            alone.shutdown()
+        batched = SynthesisService(handle4, config=self._service())
+        batched.start()
+        try:
+            body = submit(batched, "batch", requests=entries)
+        finally:
+            batched.shutdown()
+        assert body["result"]["results"] == expected
+        assert [env["ok"] for env in expected] == [True, False, False, False, True]
+        assert expected[1]["error"]["message"] == (
+            "spec length must be a power of two >= 2, got 15"
+        )
+        assert expected[3]["error"]["message"] == (
+            "unparseable spec: unsupported operand type(s) for <<: 'float' and 'int'"
+        )
+
     def test_idle_dispatcher_holds_no_request(self, handle4):
         import gc
         import weakref

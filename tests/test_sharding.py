@@ -328,6 +328,25 @@ class TestRouter:
             single.shutdown()
             router.shutdown()
 
+    def test_malformed_specs_fail_only_their_own_envelope(self, handle4):
+        router, _sup, _shards = make_cluster(handle4)
+        single = make_service(handle4)
+        try:
+            entries = [
+                {"id": 0, "op": "size", "spec": SHIFT},
+                {"id": 1, "op": "size", "spec": "[,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15]"},
+                {"id": 2, "op": "size", "spec": "[0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,]"},
+                {"id": 3, "op": "size", "spec": HARD_SPEC},
+            ]
+            line = json.dumps({"id": 9, "op": "batch", "requests": entries})
+            sharded = json.loads(router.handle_line(line))
+            alone = [json.loads(single.handle_line(json.dumps(e))) for e in entries]
+            assert sharded["result"]["results"] == alone
+            assert [env["ok"] for env in alone] == [True, False, False, True]
+        finally:
+            single.shutdown()
+            router.shutdown()
+
     def test_batch_routing_keys_match_scalar_canonical(self, handle4, monkeypatch):
         """One vectorized canonicalization keys a whole batch; every
         sub-request still goes to the owner of its scalar canonical key."""

@@ -1,9 +1,11 @@
 """Tests for spec parsing/formatting."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core import packed
 from repro.core import spec as spec_mod
 from repro.errors import InvalidPermutationError
 
@@ -73,10 +75,34 @@ class TestSpecWords:
             assert word == Permutation.coerce(spec, 4).word
         assert words[200:] == [0] * (len(specs) - 200)
 
-    def test_an_empty_value_defers_the_whole_call(self):
-        specs = [spec_mod.format_spec(range(16)), "[1,,2,3,4,5,6,7,8,9,10,11,12,13,14,15]"]
-        assert spec_mod.spec_words(specs, 4).tolist() == [0, 0]
+    def test_no_specs(self):
         assert spec_mod.spec_words([], 4).tolist() == []
+
+    @pytest.mark.parametrize("bad", [
+        "[1,,2,3,4,5,6,7,8,9,10,11,12,13,14,15]",  # an empty value
+        "[,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15]",  # empty first value
+        "[0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,]",  # empty last value
+        "[0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,,]",
+    ])
+    def test_an_empty_value_defers_only_its_spec(self, bad):
+        valid = spec_mod.format_spec(range(16))
+        assert spec_mod.spec_words([bad], 4).tolist() == [0]
+        identity = packed.identity(4)
+        assert spec_mod.spec_words([valid, bad], 4).tolist() == [identity, 0]
+        assert spec_mod.spec_words([bad, valid, bad], 4).tolist() == [0, identity, 0]
+
+    def test_a_short_numpy_read_defers_the_whole_call(self, monkeypatch):
+        """Some numpy versions stop at a malformed value and return what
+        they read so far; a count that is still a multiple of 2**n must
+        not misalign the words with their specs."""
+        real = np.fromstring
+
+        def short_read(text, dtype, sep):
+            return real(text, dtype=dtype, sep=sep)[:16]
+
+        monkeypatch.setattr(np, "fromstring", short_read)
+        specs = [spec_mod.format_spec(range(16)), spec_mod.format_spec(range(15, -1, -1))]
+        assert spec_mod.spec_words(specs, 4).tolist() == [0, 0]
 
 
 class TestCycles:
