@@ -263,6 +263,50 @@ class TestResultCache:
         assert hit.size == 2 and hit.circuit == "NOT(a) NOT(b)"
         assert warm.bound_for(4, 11, 7) == 8
 
+    def test_circuits_keep_first_store_order_and_cap(self, tmp_path):
+        from repro.service.cache import MAX_CIRCUITS_PER_ENTRY
+
+        cache = ResultCache(capacity=8)
+        cache.store_circuit(4, 10, 21, 2, "first")
+        cache.store_circuit(4, 10, 20, 2, "second")
+        cache.store_circuit(4, 10, 21, 2, "replaced")
+        for word in range(100, 100 + MAX_CIRCUITS_PER_ENTRY):
+            cache.store_circuit(4, 10, word, 2, f"w{word}")
+        assert cache.lookup(4, 10, 21).circuit == "replaced"
+        assert cache.lookup(4, 10, 20).circuit == "second"
+        assert cache.lookup(4, 10, 100 + MAX_CIRCUITS_PER_ENTRY - 3).circuit == (
+            f"w{100 + MAX_CIRCUITS_PER_ENTRY - 3}"
+        )
+        assert cache.lookup(4, 10, 100 + MAX_CIRCUITS_PER_ENTRY - 2).circuit is None
+        cache.store_circuit(4, 10, 20, 2, "again")  # a stored word still updates
+        assert cache.lookup(4, 10, 20).circuit == "again"
+        assert cache.stats()["circuits"] == MAX_CIRCUITS_PER_ENTRY
+        path = cache.save(tmp_path / "cache.json")
+        (record,) = json.loads(path.read_text())["entries"]
+        assert list(record["circuits"])[:3] == ["0x15", "0x14", "0x64"]
+        assert ResultCache(capacity=8, path=path).lookup(4, 10, 21).circuit == "replaced"
+
+    def test_saved_file_format_is_unchanged(self, tmp_path):
+        cache = ResultCache(capacity=8)
+        cache.store_size(4, 9, 3)
+        cache.store_circuit(4, 10, 20, 2, "NOT(a) NOT(b)")
+        cache.store_circuit(4, 10, 21, 2, "NOT(b) NOT(a)")
+        cache.store_bound(4, 11, lower_bound=8, max_size=7)
+        cache.store_circuit(4, 12, 12, 1, '{"wire": 1}', engine="heuristic")
+        path = cache.save(tmp_path / "cache.json")
+        assert path.read_text() == (
+            '{"version":1,"checksum":"%s","entries":%s}' % (
+                "e4bef04ec152e9f74c6e00bd752bdae3c101fa8f33ef73a91cccaef0007cfaa3",
+                '[{"n":4,"canon":"0x9","size":3,"lower_bound":null,"max_size":null,'
+                '"circuits":{}},{"n":4,"canon":"0xa","size":2,"lower_bound":null,'
+                '"max_size":null,"circuits":{"0x14":"NOT(a) NOT(b)","0x15":'
+                '"NOT(b) NOT(a)"}},{"n":4,"canon":"0xb","size":null,"lower_bound":8,'
+                '"max_size":7,"circuits":{}},{"n":4,"canon":"0xc","size":1,'
+                '"lower_bound":null,"max_size":null,"circuits":{"0xc":'
+                '"{\\"wire\\": 1}"},"engine":"heuristic"}]',
+            )
+        )
+
     def test_load_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{nope")
