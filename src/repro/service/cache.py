@@ -65,7 +65,7 @@ class CacheEntry:
 
     ``circuits`` holds ``(word, circuit)`` pairs in the order the words
     were first stored.  Most entries hold one, and a cache holds tens of
-    thousands of entries: a tuple of pairs and slots take about 190
+    thousands of entries: a tuple of pairs and slots take about 165
     bytes less per entry than a dict and an instance ``__dict__``.
     """
 
